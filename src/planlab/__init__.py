@@ -41,17 +41,11 @@ from .truth import (
     true_in_total_order,
 )
 from .planners import (
-    ExtensionCounters,
     ExtensionResult,
     PLANNERS,
     PlannerConfig,
     make_planner,
-    mt_children,
     specialize,
-    to_children,
-    toc_children,
-    ua_children,
-    uac_children,
 )
 from .search import (
     SearchOutcome,

@@ -10,7 +10,7 @@ Subcommands:
   dump-tree   enumerate one search tree and dump it as JSON
 
 Exit codes: 0 success, 1 unsolved or failed checks, 2 usage error,
-3 node ceiling exceeded.
+3 a ceiling exceeded (search nodes, oracle states or plan size).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -36,13 +35,14 @@ from .domains import (
     serialize_problem,
     standard_suite,
 )
-from .model import FINAL_STEP, INIT_STEP, Plan, Problem
-from .oracle import minimal_solution_length
+from .model import FINAL_STEP, INIT_STEP, Plan, PlanSizeError, Problem
+from .oracle import OracleCeilingError, minimal_solution_length
 from .planners import PLANNERS, PlannerConfig, make_planner
 from .search import HEURISTICS, STRATEGIES, StrategyConfig, run_search
 from .trees import (
     TreeCeilingError,
     build_correspondence,
+    default_node_ceiling,
     enumerate_tree,
     map_to_json,
     sibling_overlap_violations,
@@ -58,8 +58,11 @@ EXIT_USAGE = 2
 EXIT_CEILING = 3
 
 
-def _default_ceiling() -> int:
-    return int(os.environ.get("PLANLAB_NODE_CEILING", 1_000_000))
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {raw!r}")
+    return value
 
 
 def _load_problem(path: str) -> Problem:
@@ -110,6 +113,7 @@ def _describe_plan(plan: Plan) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    ceiling = default_node_ceiling() if args.node_ceiling is None else args.node_ceiling
     problem = _load_problem(args.problem)
     depth = _resolve_depth(problem, args.depth_limit)
     print(f"problem: {problem.name}")
@@ -123,6 +127,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             heuristic=args.heuristic,
             seed=seed,
             max_iterations=args.max_iterations,
+            node_ceiling=ceiling,
         )
         planner = make_planner(args.planner, problem, _planner_config(args, seed))
         outcomes.append(run_search(planner, cfg))
@@ -472,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth-limit", default="auto", help="integer or 'auto' (state-space oracle)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--seeded-goals", action="store_true", help="seeded goal selection instead of first-goal")
-        p.add_argument("--node-ceiling", type=int, default=_default_ceiling())
+        p.add_argument("--node-ceiling", type=_positive_int, help="default: $PLANLAB_NODE_CEILING or 1000000")
 
     p_solve = sub.add_parser("solve", help="solve one problem")
     p_solve.add_argument("problem", help="problem file path or fixture:<name>")
@@ -521,7 +526,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except TreeCeilingError as exc:
+    except (TreeCeilingError, OracleCeilingError, PlanSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CEILING
     except ParseError as exc:

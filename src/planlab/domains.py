@@ -368,31 +368,12 @@ def parse_problem(text: str) -> Problem:
     def finish_operator(lineno: int) -> None:
         nonlocal cur
         assert cur is not None
-        op = OperatorSchema(
-            name=cur["name"],
-            pre=frozenset(cur["pre"]),
-            adds=frozenset(cur["add"]),
-            dels=frozenset(cur["del"]),
-            cadds=tuple(cur["cadd"]),
-            cdels=tuple(cur["cdel"]),
-        )
-        missing = op.dels - op.pre
-        if missing:
-            raise ParseError(
-                f"operator {op.name!r} deletes {sorted(missing)} without listing "
-                f"them as preconditions; every deleted condition must be a "
-                f"precondition",
-                lineno,
+        try:
+            ops.append(
+                make_op(cur["name"], cur["pre"], cur["add"], cur["del"], cur["cadd"], cur["cdel"])
             )
-        for ce in op.cdels:
-            if ce.effect not in ce.deps:
-                raise ParseError(
-                    f"operator {op.name!r}: conditional delete "
-                    f"({' & '.join(sorted(ce.deps))} -> {ce.effect}) must list "
-                    f"{ce.effect!r} among its dependency conditions",
-                    lineno,
-                )
-        ops.append(op)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
         cur = None
 
     for lineno, raw in enumerate(lines, start=1):
@@ -575,34 +556,10 @@ def standard_suite() -> list[tuple[int, Problem]]:
     return [(entry[0], suite_problem(entry)) for entry in SUITE_ENTRIES]
 
 
-def _capped_bfs_nodes(problem: Problem, length: int, cap: int) -> Optional[int]:
-    """Nodes a total-order breadth-first run expands before its first
-    solution, or None when that exceeds `cap` (probe aborts early)."""
-    from collections import deque
-
-    from .model import initial_plan
-    from .planners import make_planner
-
-    planner = make_planner("to", problem)
-    queue = deque([(initial_plan(problem), 0)])
-    visited = 0
-    while queue:
-        plan, depth = queue.popleft()
-        visited += 1
-        if visited > cap:
-            return None
-        if planner.is_solution(plan):
-            return visited
-        if depth == length:
-            continue
-        for child in planner.children(plan).children:
-            queue.append((child, depth + 1))
-    return None
-
-
 def _fits_budget(problem: Problem, length: int) -> bool:
     from .planners import make_planner
-    from .search import StrategyConfig, dfs, iterative_sampling
+    from .search import StrategyConfig, bfs, dfs, iterative_sampling
+    from .trees import TreeCeilingError, enumerate_tree
 
     bfs_cap, dfs_cap, isamp_cap = _SUITE_BUDGETS[length]
     # cheapest probe first: random sampling rejects most oversized candidates
@@ -633,13 +590,18 @@ def _fits_budget(problem: Problem, length: int) -> bool:
         dfs_nodes += o.nodes_expanded
         if dfs_nodes > 3 * dfs_cap:
             return False
-    if _capped_bfs_nodes(problem, length, bfs_cap) is None:
+    try:
+        o = bfs(
+            make_planner("to", problem),
+            StrategyConfig(strategy="bfs", depth_limit=length, node_ceiling=bfs_cap),
+        )
+    except TreeCeilingError:
+        return False
+    if not o.solved:
         return False
     if length >= 2:
         # the suite should exercise real ordering freedom: beyond length 1,
         # admit only problems whose partial-order tree is strictly smaller
-        from .trees import TreeCeilingError, enumerate_tree
-
         try:
             to_tree = enumerate_tree(make_planner("to", problem), length, 6 * bfs_cap)
             ua_tree = enumerate_tree(make_planner("ua", problem), length, 6 * bfs_cap)

@@ -196,11 +196,33 @@ class Plan:
         return {lab: tuple(sorted(v)) for lab, v in pred.items()}
 
     @cached_property
+    def linear_order(self) -> tuple[int, ...]:
+        """Smallest-label-first topological order of the labels; the one
+        linearization every plan query and planner reads."""
+        successors = self.successors
+        indeg = {lab: len(preds) for lab, preds in self.predecessors.items()}
+        ready = sorted((lab for lab, d in indeg.items() if d == 0), reverse=True)
+        out: list[int] = []
+        while ready:
+            lab = ready.pop()
+            out.append(lab)
+            changed = False
+            for s in successors[lab]:
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    ready.append(s)
+                    changed = True
+            if changed:
+                ready.sort(reverse=True)
+        if len(out) != len(indeg):
+            raise ValueError("plan ordering contains a cycle")
+        return tuple(out)
+
+    @cached_property
     def after_sets(self) -> dict[int, frozenset[int]]:
         """label -> every label strictly after it (transitive closure)."""
-        order = self._toposort()
         out: dict[int, frozenset[int]] = {}
-        for lab in reversed(order):
+        for lab in reversed(self.linear_order):
             acc: set[int] = set()
             for s in self.successors[lab]:
                 acc.add(s)
@@ -208,37 +230,9 @@ class Plan:
             out[lab] = frozenset(acc)
         return out
 
-    @cached_property
-    def ancestor_sets(self) -> dict[int, frozenset[int]]:
-        """label -> every label strictly before it (transitive closure)."""
-        anc: dict[int, set[int]] = {lab: set() for lab in self.labels}
-        for a, succs in self.after_sets.items():
-            for b in succs:
-                anc[b].add(a)
-        return {lab: frozenset(v) for lab, v in anc.items()}
-
     def before(self, a: int, b: int) -> bool:
         """True iff a strictly precedes b in the closure."""
         return b in self.after_sets[a]
-
-    def _toposort(self) -> list[int]:
-        indeg = {lab: len(self.predecessors[lab]) for lab in self.labels}
-        ready = sorted(lab for lab, d in indeg.items() if d == 0)
-        out: list[int] = []
-        while ready:
-            lab = ready.pop(0)
-            out.append(lab)
-            inserted = False
-            for s in self.successors[lab]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-                    inserted = True
-            if inserted:
-                ready.sort()
-        if len(out) != len(self.labels):
-            raise ValueError("plan ordering contains a cycle")
-        return out
 
     @cached_property
     def is_total(self) -> bool:
@@ -246,14 +240,12 @@ class Plan:
         comparable = sum(len(v) for v in self.after_sets.values())
         return comparable == n * (n - 1) // 2
 
-    @cached_property
+    @property
     def sequence(self) -> tuple[int, ...]:
         """The unique total order of a totally ordered plan's labels."""
         if not self.is_total:
             raise ValueError("plan is not totally ordered")
-        return tuple(
-            sorted(self.labels, key=lambda lab: len(self.after_sets[lab]), reverse=True)
-        )
+        return self.linear_order
 
     @cached_property
     def middle_labels(self) -> tuple[int, ...]:
@@ -271,7 +263,7 @@ class Plan:
             raise ValueError(f"plan has no step labeled {label}") from None
 
     def validate(self) -> None:
-        self._toposort()
+        self.linear_order  # raises on a cycle
         for lab in self.labels:
             if lab != INIT_STEP and not self.before(INIT_STEP, lab):
                 raise ValueError(f"initial step does not precede step {lab}")
@@ -435,7 +427,7 @@ def is_linearization(total: Plan, plan: Plan) -> bool:
         for lab in plan.labels:
             if lab in used or plan.by_label[lab].signature != want:
                 continue
-            if all(p in used for p in plan.ancestor_sets[lab]):
+            if all(p in used for p in plan.predecessors[lab]):
                 used.add(lab)
                 if place(i + 1):
                     return True

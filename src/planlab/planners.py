@@ -27,10 +27,10 @@ Planner kinds and their ordering stages:
          a time by demotion or white-knight protection, and children may
          be ambiguous.
 
-Cost counters report the most expensive child of each extension call:
-``step4_edge_visits`` counts graph-edge traversals during ordering
-selection and ``step5_visits`` counts node and edge touches during goal
-updating, so growth shapes can be checked against the plan's edge count.
+Every child carries a ``ChildCost``: ``step4_edge_visits`` counts
+graph-edge traversals during ordering selection and ``step5_visits``
+counts node and edge touches during goal updating, so growth shapes can
+be checked against the plan's edge count.
 """
 
 from __future__ import annotations
@@ -118,21 +118,10 @@ class ChildCost:
 
 
 @dataclass(frozen=True)
-class ExtensionCounters:
-    """Aggregate cost of one extension call; the visit fields carry the
-    maximum over the emitted children."""
-
-    step4_edge_visits: int
-    step5_visits: int
-    children_count: int
-
-
-@dataclass(frozen=True)
 class ExtensionResult:
     children: tuple[Plan, ...]
     costs: tuple[ChildCost, ...]
     goals: tuple[tuple[GoalEntry, ...], ...]
-    counters: ExtensionCounters
 
 
 @dataclass(frozen=True)
@@ -189,9 +178,6 @@ class Planner:
         self._goal_cache[plan] = goals
         return goals
 
-    def _remember(self, plan: Plan, goals: tuple[GoalEntry, ...]) -> None:
-        self._goal_cache[plan] = goals
-
     def is_solution(self, plan: Plan) -> bool:
         return not self.goal_set(plan)
 
@@ -230,20 +216,14 @@ class Planner:
                 depth=plan.depth + 1,
             )
             if cand.chain is not None:
-                child.__dict__["sequence"] = cand.chain
+                child.__dict__["linear_order"] = cand.chain
                 child.__dict__["is_total"] = True
             goals_c, visits5 = self._compute_goals(child)
-            self._remember(child, goals_c)
+            self._goal_cache[child] = goals_c
             children.append(child)
             costs.append(ChildCost(cand.visits4, visits5))
             child_goals.append(goals_c)
-
-        counters = ExtensionCounters(
-            step4_edge_visits=max((c.step4_edge_visits for c in costs), default=0),
-            step5_visits=max((c.step5_visits for c in costs), default=0),
-            children_count=len(children),
-        )
-        return ExtensionResult(tuple(children), tuple(costs), tuple(child_goals), counters)
+        return ExtensionResult(tuple(children), tuple(costs), tuple(child_goals))
 
     def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[_Candidate]:
         raise NotImplementedError
@@ -306,11 +286,14 @@ class UnambiguousPlanner(Planner):
     def _compute_goals(self, plan: Plan) -> tuple[tuple[GoalEntry, ...], int]:
         # Valid because every plan this planner touches is unambiguous:
         # one linearization decides necessary falsehood.
-        seq = _linearize(plan)
         visits = len(plan.order) + 2 * len(plan.steps)
-        return tuple(false_in_sequence(plan, seq)), visits
+        return tuple(false_in_sequence(plan, plan.linear_order)), visits
 
     def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[_Candidate]:
+        # A plan this planner derived is unambiguous by construction, and so
+        # is the two-step root; only a plan handed in from outside is checked.
+        if plan.parent is None and plan.length > 0 and not is_unambiguous(plan):
+            raise ValueError(f"the {self.kind} planner requires an unambiguous plan")
         c, needer = goal.condition, goal.needer
         deleter = last_deleter(plan, c, needer)
         label = fresh_label(plan)
@@ -397,30 +380,6 @@ class UnambiguousPlanner(Planner):
 
         branch(0, before, after, frozenset(), visits)
         return out
-
-
-def _linearize(plan: Plan) -> tuple[int, ...]:
-    cached = plan.__dict__.get("sequence")
-    if cached is not None:
-        return cached
-    successors = plan.successors
-    indeg = {lab: len(plan.predecessors[lab]) for lab in plan.labels}
-    ready = sorted((lab for lab, d in indeg.items() if d == 0), reverse=True)
-    out: list[int] = []
-    while ready:
-        lab = ready.pop()
-        out.append(lab)
-        changed = False
-        for s in successors[lab]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-                changed = True
-        if changed:
-            ready.sort(reverse=True)
-    if len(out) != len(indeg):
-        raise ValueError("plan ordering contains a cycle")
-    return tuple(out)
 
 
 class _RoleSelectionMixin:
@@ -610,30 +569,3 @@ def make_planner(kind: str, problem: Problem, config: Optional[PlannerConfig] = 
         raise ValueError(f"unknown planner kind {kind!r}; choose from {sorted(PLANNERS)}") from None
     return cls(problem, config)
 
-
-def _one_shot(kind: str, plan: Plan, problem: Problem, config: Optional[PlannerConfig]) -> ExtensionResult:
-    return make_planner(kind, problem, config).children(plan)
-
-
-def to_children(plan: Plan, problem: Problem, config: Optional[PlannerConfig] = None) -> ExtensionResult:
-    return _one_shot("to", plan, problem, config)
-
-
-def ua_children(plan: Plan, problem: Problem, config: Optional[PlannerConfig] = None) -> ExtensionResult:
-    if not is_unambiguous(plan):
-        raise ValueError("the unambiguous planner requires an unambiguous plan")
-    return _one_shot("ua", plan, problem, config)
-
-
-def toc_children(plan: Plan, problem: Problem, config: Optional[PlannerConfig] = None) -> ExtensionResult:
-    return _one_shot("toc", plan, problem, config)
-
-
-def uac_children(plan: Plan, problem: Problem, config: Optional[PlannerConfig] = None) -> ExtensionResult:
-    if not is_unambiguous(plan):
-        raise ValueError("the conditional unambiguous planner requires an unambiguous plan")
-    return _one_shot("uac", plan, problem, config)
-
-
-def mt_children(plan: Plan, problem: Problem, config: Optional[PlannerConfig] = None) -> ExtensionResult:
-    return _one_shot("mt", plan, problem, config)

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 from .model import Plan
 from .planners import ExtensionResult, Planner
+from .trees import TreeCeilingError
 
 HEURISTICS = ("none", "min_goals_rank", "min_goals_prune", "min_goals_weight")
 STRATEGIES = ("bfs", "dfs", "isamp", "ibroad")
@@ -31,6 +32,7 @@ class StrategyConfig:
     heuristic: str = "none"
     seed: int = 0
     trials: int = 1
+    node_ceiling: Optional[int] = None  # most nodes one run may visit
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -39,6 +41,8 @@ class StrategyConfig:
             raise ValueError(f"unknown heuristic {self.heuristic!r}")
         if self.depth_limit < 0 or self.trials < 1:
             raise ValueError("depth_limit must be >= 0 and trials >= 1")
+        if self.node_ceiling is not None and self.node_ceiling < 1:
+            raise ValueError("node_ceiling must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -59,12 +63,15 @@ class SearchOutcome:
 
 
 class _Tally:
-    def __init__(self, depth_limit: int):
+    def __init__(self, cfg: StrategyConfig):
         self.nodes = 0
         self.leaves = 0
-        self.levels = [0] * (depth_limit + 1)
+        self.levels = [0] * (cfg.depth_limit + 1)
+        self.ceiling = cfg.node_ceiling
 
     def visit(self, depth: int) -> None:
+        if self.nodes == self.ceiling:
+            raise TreeCeilingError(self.nodes, self.ceiling)
         self.nodes += 1
         self.levels[depth] += 1
 
@@ -103,7 +110,7 @@ def bfs(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
     from collections import deque
 
     start = time.perf_counter()
-    tally = _Tally(cfg.depth_limit)
+    tally = _Tally(cfg)
     queue = deque([(planner.root(), 0)])
     while queue:
         plan, depth = queue.popleft()
@@ -159,7 +166,7 @@ def dfs(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
     """Depth-first with a seeded shuffle at every node; backtracks at the
     depth limit and at dead ends; returns the first solution found."""
     start = time.perf_counter()
-    tally = _Tally(cfg.depth_limit)
+    tally = _Tally(cfg)
     rng = random.Random(cfg.seed)
     found = _descend(planner, planner.root(), 0, cfg, rng, None, tally, [0])
     return _outcome(found is not None, found, tally, start, cfg.seed)
@@ -168,7 +175,7 @@ def dfs(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
 def iterative_sampling(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
     """Memoryless random root-to-leaf probes until a solution leaf."""
     start = time.perf_counter()
-    tally = _Tally(cfg.depth_limit)
+    tally = _Tally(cfg)
     rng = random.Random(cfg.seed)
     for iteration in range(1, cfg.max_iterations + 1):
         plan, depth = planner.root(), 0
@@ -209,7 +216,7 @@ def iterative_broadening(planner: Planner, cfg: StrategyConfig) -> SearchOutcome
     pass ran uncut and found nothing.
     """
     start = time.perf_counter()
-    tally = _Tally(cfg.depth_limit)
+    tally = _Tally(cfg)
     cutoff = 1
     while True:
         rng = random.Random(cfg.seed)

@@ -28,14 +28,29 @@ from .model import FINAL_STEP, INIT_STEP, Plan, Problem, is_linearization, linea
 from .planners import ChildCost, Planner
 from .truth import GoalEntry
 
-DEFAULT_NODE_CEILING = int(os.environ.get("PLANLAB_NODE_CEILING", 1_000_000))
+DEFAULT_NODE_CEILING = 1_000_000
+
+
+def default_node_ceiling() -> int:
+    """The node ceiling set by ``PLANLAB_NODE_CEILING``, else the default."""
+    raw = os.environ.get("PLANLAB_NODE_CEILING")
+    if raw is None:
+        return DEFAULT_NODE_CEILING
+    try:
+        ceiling = int(raw)
+    except ValueError:
+        ceiling = 0
+    if ceiling < 1:
+        raise ValueError(f"PLANLAB_NODE_CEILING must be a positive integer, not {raw!r}")
+    return ceiling
 
 
 class TreeCeilingError(RuntimeError):
-    """Enumeration hit the node ceiling; carries the partial count."""
+    """A tree enumeration or search hit the node ceiling; carries the
+    partial count."""
 
     def __init__(self, count: int, ceiling: int):
-        super().__init__(f"tree enumeration exceeded {ceiling} nodes (at {count})")
+        super().__init__(f"search tree exceeded {ceiling} nodes (at {count})")
         self.count = count
         self.ceiling = ceiling
 
@@ -75,9 +90,12 @@ class SearchTree:
 
 
 def enumerate_tree(
-    planner: Planner, depth_limit: int, node_ceiling: int = DEFAULT_NODE_CEILING
+    planner: Planner, depth_limit: int, node_ceiling: Optional[int] = None
 ) -> SearchTree:
-    """The complete derivation tree to `depth_limit`, preorder ids."""
+    """The complete derivation tree to `depth_limit`, preorder ids; the
+    ceiling defaults to `default_node_ceiling()`."""
+    if node_ceiling is None:
+        node_ceiling = default_node_ceiling()
     tree = SearchTree(
         problem=planner.problem, planner_kind=planner.kind, depth_limit=depth_limit
     )

@@ -118,31 +118,6 @@ def modal_status_brute(plan: Plan, needer: int, c: str) -> ModalStatus:
     return ModalStatus.NECESSARILY_TRUE if seen_true else ModalStatus.NECESSARILY_FALSE
 
 
-def modal_status_fast(plan: Plan, needer: int, c: str) -> ModalStatus:
-    """Single-linearization shortcut, valid only for unambiguous plans."""
-    seq = _some_extension(plan)
-    if true_in_sequence(plan, seq, needer, c):
-        return ModalStatus.NECESSARILY_TRUE
-    return ModalStatus.NECESSARILY_FALSE
-
-
-def _some_extension(plan: Plan) -> tuple[int, ...]:
-    if plan.is_total:
-        return plan.sequence
-    indeg = {lab: len(plan.predecessors[lab]) for lab in plan.labels}
-    ready = sorted(lab for lab, d in indeg.items() if d == 0)
-    out: list[int] = []
-    while ready:
-        lab = ready.pop(0)
-        out.append(lab)
-        for s in plan.successors[lab]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-        ready.sort()
-    return tuple(out)
-
-
 def last_deleter(plan: Plan, c: str, needer: int) -> int:
     """The deleter of c closest before `needer`: a deleter before `needer`
     with no other deleter strictly between it and `needer`.  The initial

@@ -403,7 +403,7 @@ def _ua_extension_set(planner, plan, goals):
                     edges.add((label, other))
             cand = Plan(steps, frozenset(edges))
             try:
-                cand._toposort()
+                cand.linear_order
             except ValueError:
                 continue
             if not cand.before(label, needer):

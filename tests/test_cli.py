@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,10 @@ from planlab.cli import (
     run_experiment,
     summarize_experiment,
 )
+from planlab import cli
 from planlab.domains import d1s1_problem, fixture, serialize_problem
+from planlab.model import PlanSizeError
+from planlab.oracle import OracleCeilingError
 
 
 @pytest.fixture
@@ -111,6 +117,51 @@ class TestVerify:
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
         assert all(set(e) == {"ua_id", "to_ids"} for e in payload)
+
+
+class TestCeilings:
+    def test_solve_honours_node_ceiling(self, capsys):
+        args = ["solve", "fixture:fig17", "--planner", "mt", "--strategy", "bfs", "--depth-limit", "12"]
+        assert main(args + ["--node-ceiling", "100"]) == EXIT_CEILING
+        assert "exceeded 100 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error", [OracleCeilingError("state-space search exceeded 9 states"), PlanSizeError("refused")]
+    )
+    def test_oracle_and_plan_size_ceilings_exit_three(self, monkeypatch, capsys, error):
+        def raise_error(problem):
+            raise error
+
+        monkeypatch.setattr(cli, "minimal_solution_length", raise_error)
+        assert main(["solve", "fixture:fig9"]) == EXIT_CEILING
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "dump-tree"])
+    @pytest.mark.parametrize("raw", ["0", "-2", "x"])
+    def test_bad_node_ceiling_flag_refused(self, sussman_file, capsys, command, raw):
+        assert main([command, sussman_file, "--node-ceiling", raw]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_environment_ceiling_honoured(self, sussman_file, monkeypatch):
+        monkeypatch.setenv("PLANLAB_NODE_CEILING", "5")
+        assert main(["verify", sussman_file]) == EXIT_CEILING
+        assert main(["solve", sussman_file, "--strategy", "dfs"]) == EXIT_CEILING
+        assert main(["solve", sussman_file, "--node-ceiling", "1000"]) == EXIT_OK
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
+    def test_malformed_environment_ceiling_refused(self, sussman_file, monkeypatch, capsys, raw):
+        monkeypatch.setenv("PLANLAB_NODE_CEILING", raw)
+        for command in ("solve", "verify", "dump-tree"):
+            assert main([command, sussman_file]) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: PLANLAB_NODE_CEILING must be a positive integer, not {raw!r}\n"
+
+    def test_malformed_environment_ceiling_does_not_break_import(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PLANLAB_NODE_CEILING": "abc", "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", "import planlab"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestExperiment:

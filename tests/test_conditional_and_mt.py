@@ -12,7 +12,7 @@ from planlab.model import (
     linear_extensions,
     make_op,
 )
-from planlab.planners import make_planner, mt_children
+from planlab.planners import make_planner
 from planlab.trees import enumerate_tree, sibling_overlap_violations
 from planlab.truth import is_unambiguous_brute
 
@@ -178,5 +178,5 @@ class TestModalTruthPlanner:
     def test_mt_children_function(self):
         prob = fixture("fig17")
         planner = make_planner("mt", prob)
-        result = mt_children(planner.root(), prob)
+        result = planner.children(planner.root())
         assert len(result.children) == 1

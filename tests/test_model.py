@@ -228,7 +228,7 @@ class TestExtend:
         root = initial_plan(tiny_problem)
         step = Step.from_schema(tiny_problem.library[0], 2)
         child = extend(root, step, {(INIT_STEP, 2), (2, FINAL_STEP)})
-        child._toposort()  # raises on a cycle
+        child.linear_order  # raises on a cycle
 
 
 class TestCeilings:

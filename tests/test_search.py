@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from planlab.domains import d1s1_problem, fixture
@@ -18,6 +20,7 @@ from planlab.search import (
     run_search,
     run_trials,
 )
+from planlab.trees import TreeCeilingError
 
 
 def empty_goal_problem():
@@ -252,6 +255,28 @@ class TestMinGoals:
             kept = rank_children(result, "min_goals_prune")
             best = min(len(g) for g in result.goals)
             assert all(min_goals_rating(planner, c) == best for c in kept)
+
+
+class TestNodeCeiling:
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "isamp", "ibroad"])
+    def test_every_strategy_stops_past_the_ceiling(self, strategy):
+        prob = fixture("sussman")
+        cfg = StrategyConfig(strategy=strategy, depth_limit=3, seed=4)
+        free = run_search(make_planner("ua", prob), cfg)
+        assert free.solved and free.nodes_expanded > 1
+        capped = run_search(make_planner("ua", prob), replace(cfg, node_ceiling=free.nodes_expanded))
+        assert (capped.nodes_expanded, capped.leaves_visited, capped.iterations) == (
+            free.nodes_expanded,
+            free.leaves_visited,
+            free.iterations,
+        )
+        with pytest.raises(TreeCeilingError) as exc:
+            run_search(make_planner("ua", prob), replace(cfg, node_ceiling=free.nodes_expanded - 1))
+        assert exc.value.count == exc.value.ceiling == free.nodes_expanded - 1
+
+    def test_ceiling_must_be_positive(self):
+        with pytest.raises(ValueError):
+            StrategyConfig(node_ceiling=0)
 
 
 class TestLeafSamplingEstimator:
