@@ -38,11 +38,10 @@ from .domains import (
 from .model import FINAL_STEP, INIT_STEP, Plan, PlanSizeError, Problem
 from .oracle import OracleCeilingError, minimal_solution_length
 from .planners import PLANNERS, PlannerConfig, make_planner
-from .search import HEURISTICS, STRATEGIES, StrategyConfig, run_search
+from .search import HEURISTICS, STRATEGIES, StrategyConfig, run_trials
 from .trees import (
     TreeCeilingError,
     build_correspondence,
-    default_node_ceiling,
     enumerate_tree,
     map_to_json,
     sibling_overlap_violations,
@@ -79,9 +78,12 @@ def _resolve_depth(problem: Problem, raw: str) -> int:
     if raw == "auto":
         length = minimal_solution_length(problem)
         if length is None:
-            raise ValueError("problem is unsolvable; give an explicit --depth-limit")
+            raise ValueError(f"problem {problem.name} is unsolvable; give an explicit depth limit")
         return length
-    return int(raw)
+    depth = int(raw)
+    if depth < 0:
+        raise ValueError(f"depth limit must be >= 0, not {raw!r}")
+    return depth
 
 
 def _describe_plan(plan: Plan) -> str:
@@ -113,24 +115,22 @@ def _describe_plan(plan: Plan) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    ceiling = default_node_ceiling() if args.node_ceiling is None else args.node_ceiling
     problem = _load_problem(args.problem)
     depth = _resolve_depth(problem, args.depth_limit)
+    cfg = StrategyConfig(
+        strategy=args.strategy,
+        depth_limit=depth,
+        heuristic=args.heuristic,
+        seed=args.seed,
+        trials=args.trials,
+        max_iterations=args.max_iterations,
+        node_ceiling=args.node_ceiling,
+    )
+    outcomes = run_trials(
+        lambda seed: make_planner(args.planner, problem, _planner_config(args, seed)), cfg
+    )
     print(f"problem: {problem.name}")
     print(f"planner: {args.planner}  strategy: {args.strategy}  depth limit: {depth}")
-    outcomes = []
-    for trial in range(args.trials):
-        seed = args.seed + trial
-        cfg = StrategyConfig(
-            strategy=args.strategy,
-            depth_limit=depth,
-            heuristic=args.heuristic,
-            seed=seed,
-            max_iterations=args.max_iterations,
-            node_ceiling=ceiling,
-        )
-        planner = make_planner(args.planner, problem, _planner_config(args, seed))
-        outcomes.append(run_search(planner, cfg))
     for outcome in outcomes:
         if args.trials > 1:
             print(
@@ -266,20 +266,14 @@ def _experiment_problems(cfg: ExperimentConfig) -> list[tuple[str, int, Problem]
     out: list[tuple[str, int, Problem]] = []
     for spec in cfg.problems:
         if spec == "suite:standard":
-            for idx, (length, problem) in enumerate(standard_suite()):
-                out.append((f"{problem.name}", length, problem))
-        elif spec.startswith("fixture:"):
-            problem = fixture(spec.split(":", 1)[1])
-            length = minimal_solution_length(problem) or 0
-            out.append((problem.name, length, problem))
-        else:
-            paths = sorted(globmod.glob(spec))
-            if not paths:
-                raise ValueError(f"no problem files match {spec!r}")
-            for path in paths:
-                problem = parse_problem(Path(path).read_text(encoding="utf-8"))
-                length = minimal_solution_length(problem) or 0
-                out.append((problem.name, length, problem))
+            out.extend((problem.name, length, problem) for length, problem in standard_suite())
+            continue
+        paths = [spec] if spec.startswith("fixture:") else sorted(globmod.glob(spec))
+        if not paths:
+            raise ValueError(f"no problem files match {spec!r}")
+        for path in paths:
+            problem = _load_problem(path)
+            out.append((problem.name, minimal_solution_length(problem) or 0, problem))
     return out
 
 
@@ -306,33 +300,24 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     rows: list[dict] = []
     problems = _experiment_problems(cfg)
     for problem_id, length_class, problem in sorted(problems, key=lambda t: t[0]):
-        depth = (
-            int(cfg.depth_limit)
-            if cfg.depth_limit != "auto"
-            else minimal_solution_length(problem)
-        )
-        if depth is None:
-            raise ValueError(f"problem {problem_id} is unsolvable; no auto depth")
+        depth = _resolve_depth(problem, cfg.depth_limit)
         for planner_kind in cfg.planners:
             for strategy in cfg.strategies:
                 for heuristic in cfg.heuristics:
-                    for trial in range(cfg.trials):
-                        seed = cfg.base_seed + trial
-                        planner = make_planner(
-                            planner_kind,
-                            problem,
-                            PlannerConfig(goal_selection="seeded", seed=seed),
-                        )
-                        outcome = run_search(
-                            planner,
-                            StrategyConfig(
-                                strategy=strategy,
-                                depth_limit=depth,
-                                heuristic=heuristic,
-                                seed=seed,
-                                max_iterations=cfg.max_iterations,
-                            ),
-                        )
+                    outcomes = run_trials(
+                        lambda seed: make_planner(
+                            planner_kind, problem, PlannerConfig(goal_selection="seeded", seed=seed)
+                        ),
+                        StrategyConfig(
+                            strategy=strategy,
+                            depth_limit=depth,
+                            heuristic=heuristic,
+                            seed=cfg.base_seed,
+                            trials=cfg.trials,
+                            max_iterations=cfg.max_iterations,
+                        ),
+                    )
+                    for trial, outcome in enumerate(outcomes):
                         rows.append(
                             {
                                 "problem_id": problem_id,
@@ -340,7 +325,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                                 "planner": planner_kind,
                                 "strategy": strategy,
                                 "heuristic": heuristic,
-                                "seed": seed,
+                                "seed": outcome.seed,
                                 "trial": trial,
                                 "solved": int(outcome.solved),
                                 "depth_limit": depth,

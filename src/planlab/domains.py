@@ -558,46 +558,26 @@ def standard_suite() -> list[tuple[int, Problem]]:
 
 def _fits_budget(problem: Problem, length: int) -> bool:
     from .planners import make_planner
-    from .search import StrategyConfig, bfs, dfs, iterative_sampling
+    from .search import StrategyConfig, run_trials
     from .trees import TreeCeilingError, enumerate_tree
 
     bfs_cap, dfs_cap, isamp_cap = _SUITE_BUDGETS[length]
-    # cheapest probe first: random sampling rejects most oversized candidates
-    iters = 0
-    for t in range(2):
-        o = iterative_sampling(
-            make_planner("to", problem),
-            StrategyConfig(
-                strategy="isamp",
-                depth_limit=length,
-                seed=2000 + t,
-                max_iterations=2 * isamp_cap,
-            ),
-        )
-        if not o.solved:
-            return False
-        iters += o.iterations or 0
-    if iters / 2 > isamp_cap:
-        return False
-    dfs_nodes = 0
-    for t in range(3):
-        o = dfs(
-            make_planner("to", problem),
-            StrategyConfig(strategy="dfs", depth_limit=length, seed=1000 + t),
-        )
-        if not o.solved:
-            return False
-        dfs_nodes += o.nodes_expanded
-        if dfs_nodes > 3 * dfs_cap:
-            return False
+
+    def probe(**fields) -> list:
+        cfg = StrategyConfig(depth_limit=length, **fields)
+        return run_trials(lambda _seed: make_planner("to", problem), cfg)
+
     try:
-        o = bfs(
-            make_planner("to", problem),
-            StrategyConfig(strategy="bfs", depth_limit=length, node_ceiling=bfs_cap),
-        )
+        # cheapest probe first: random sampling rejects most oversized candidates
+        samples = probe(strategy="isamp", seed=2000, trials=2, max_iterations=2 * isamp_cap)
+        if not all(o.solved for o in samples) or sum(o.iterations for o in samples) > 2 * isamp_cap:
+            return False
+        dives = probe(strategy="dfs", seed=1000, trials=3, node_ceiling=3 * dfs_cap)
+        if not all(o.solved for o in dives) or sum(o.nodes_expanded for o in dives) > 3 * dfs_cap:
+            return False
+        if not probe(strategy="bfs", node_ceiling=bfs_cap)[0].solved:
+            return False
     except TreeCeilingError:
-        return False
-    if not o.solved:
         return False
     if length >= 2:
         # the suite should exercise real ordering freedom: beyond length 1,

@@ -121,7 +121,6 @@ class ChildCost:
 class ExtensionResult:
     children: tuple[Plan, ...]
     costs: tuple[ChildCost, ...]
-    goals: tuple[tuple[GoalEntry, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -198,16 +197,13 @@ class Planner:
         if not goals:
             raise ValueError("plan is already solved; nothing to extend")
         goal = self.select_goal(plan, goals)
-        candidates = self._ordering_candidates(plan, goal)
-        if self.conditional:
-            expanded: list[_Candidate] = []
-            for cand in candidates:
-                expanded.extend(self._role_branches(cand))
-            candidates = expanded
-
+        candidates = [
+            branch
+            for cand in self._ordering_candidates(plan, goal)
+            for branch in self._role_branches(cand)
+        ]
         children: list[Plan] = []
         costs: list[ChildCost] = []
-        child_goals: list[tuple[GoalEntry, ...]] = []
         for cand in candidates:
             child = Plan(
                 steps=cand.steps,
@@ -218,12 +214,10 @@ class Planner:
             if cand.chain is not None:
                 child.__dict__["linear_order"] = cand.chain
                 child.__dict__["is_total"] = True
-            goals_c, visits5 = self._compute_goals(child)
-            self._goal_cache[child] = goals_c
+            self._goal_cache[child], visits5 = self._compute_goals(child)
             children.append(child)
             costs.append(ChildCost(cand.visits4, visits5))
-            child_goals.append(goals_c)
-        return ExtensionResult(tuple(children), tuple(costs), tuple(child_goals))
+        return ExtensionResult(tuple(children), tuple(costs))
 
     def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[_Candidate]:
         raise NotImplementedError

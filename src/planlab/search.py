@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .model import Plan
 from .planners import ExtensionResult, Planner
-from .trees import TreeCeilingError
+from .trees import _Tally
 
 HEURISTICS = ("none", "min_goals_rank", "min_goals_prune", "min_goals_weight")
 STRATEGIES = ("bfs", "dfs", "isamp", "ibroad")
@@ -32,7 +32,7 @@ class StrategyConfig:
     heuristic: str = "none"
     seed: int = 0
     trials: int = 1
-    node_ceiling: Optional[int] = None  # most nodes one run may visit
+    node_ceiling: Optional[int] = None  # unset: default_node_ceiling()
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -62,47 +62,45 @@ class SearchOutcome:
         return self.solution.length if self.solution is not None else None
 
 
-class _Tally:
-    def __init__(self, cfg: StrategyConfig):
-        self.nodes = 0
-        self.leaves = 0
-        self.levels = [0] * (cfg.depth_limit + 1)
-        self.ceiling = cfg.node_ceiling
-
-    def visit(self, depth: int) -> None:
-        if self.nodes == self.ceiling:
-            raise TreeCeilingError(self.nodes, self.ceiling)
-        self.nodes += 1
-        self.levels[depth] += 1
-
-
 def min_goals_rating(planner: Planner, plan: Plan) -> int:
     """Open-goal count under the planner's own goal semantics."""
     return len(planner.goal_set(plan))
 
 
 def rank_children(
+    planner: Planner,
     result: ExtensionResult,
     mode: str,
     rng: Optional[random.Random] = None,
 ) -> list[Plan]:
     """Shuffle children, then apply the heuristic mode on the ratings."""
-    order = list(range(len(result.children)))
+    kids = list(result.children)
     if rng is not None:
-        rng.shuffle(order)
-    if mode == "none" or not order:
-        return [result.children[i] for i in order]
-    ratings = {i: len(result.goals[i]) for i in order}
+        rng.shuffle(kids)
     if mode == "min_goals_rank":
-        order.sort(key=lambda i: ratings[i])  # stable: ties keep shuffle order
-    elif mode == "min_goals_prune":
-        best = min(ratings[i] for i in order)
-        order = [i for i in order if ratings[i] == best]
-    elif mode == "min_goals_weight":
-        pass  # weighting applies at choice time, not here
-    else:
+        # stable: ties keep their shuffled order
+        kids.sort(key=lambda child: min_goals_rating(planner, child))
+    elif mode == "min_goals_prune" and kids:
+        ratings = [min_goals_rating(planner, child) for child in kids]
+        best = min(ratings)
+        kids = [child for child, rating in zip(kids, ratings) if rating == best]
+    elif mode not in HEURISTICS:
         raise ValueError(f"unknown heuristic {mode!r}")
-    return [result.children[i] for i in order]
+    return kids  # min_goals_weight applies at choice time, not here
+
+
+def _expand(
+    planner: Planner, plan: Plan, depth: int, cfg: StrategyConfig, tally: _Tally
+) -> Optional[ExtensionResult]:
+    """Visit `plan`: its children, or None at a counted leaf (a solution,
+    the depth limit or a dead end)."""
+    tally.visit(depth)
+    if depth < cfg.depth_limit and not planner.is_solution(plan):
+        result = planner.children(plan)
+        if result.children:
+            return result
+    tally.leaves += 1
+    return None
 
 
 def bfs(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
@@ -110,23 +108,15 @@ def bfs(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
     from collections import deque
 
     start = time.perf_counter()
-    tally = _Tally(cfg)
+    tally = _Tally(cfg.depth_limit, cfg.node_ceiling)
     queue = deque([(planner.root(), 0)])
     while queue:
         plan, depth = queue.popleft()
-        tally.visit(depth)
-        if planner.is_solution(plan):
-            tally.leaves += 1
+        result = _expand(planner, plan, depth, cfg, tally)
+        if result is not None:
+            queue.extend((child, depth + 1) for child in result.children)
+        elif planner.is_solution(plan):
             return _outcome(True, plan, tally, start, cfg.seed)
-        if depth == cfg.depth_limit:
-            tally.leaves += 1
-            continue
-        result = planner.children(plan)
-        if not result.children:
-            tally.leaves += 1
-            continue
-        for child in result.children:
-            queue.append((child, depth + 1))
     return _outcome(False, None, tally, start, cfg.seed)
 
 
@@ -138,25 +128,14 @@ def _descend(
     rng: random.Random,
     cutoff: Optional[int],
     tally: _Tally,
-    max_width: list[int],
 ) -> Optional[Plan]:
-    tally.visit(depth)
-    if planner.is_solution(plan):
-        tally.leaves += 1
-        return plan
-    if depth == cfg.depth_limit:
-        tally.leaves += 1
-        return None
-    result = planner.children(plan)
-    if not result.children:
-        tally.leaves += 1
-        return None
-    kids = rank_children(result, cfg.heuristic, rng)
-    max_width[0] = max(max_width[0], len(kids))
-    if cutoff is not None:
-        kids = kids[:cutoff]
-    for child in kids:
-        found = _descend(planner, child, depth + 1, cfg, rng, cutoff, tally, max_width)
+    result = _expand(planner, plan, depth, cfg, tally)
+    if result is None:
+        return plan if planner.is_solution(plan) else None
+    kids = rank_children(planner, result, cfg.heuristic, rng)
+    tally.max_width = max(tally.max_width, len(kids))
+    for child in kids[:cutoff]:
+        found = _descend(planner, child, depth + 1, cfg, rng, cutoff, tally)
         if found is not None:
             return found
     return None
@@ -166,45 +145,37 @@ def dfs(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
     """Depth-first with a seeded shuffle at every node; backtracks at the
     depth limit and at dead ends; returns the first solution found."""
     start = time.perf_counter()
-    tally = _Tally(cfg)
+    tally = _Tally(cfg.depth_limit, cfg.node_ceiling)
     rng = random.Random(cfg.seed)
-    found = _descend(planner, planner.root(), 0, cfg, rng, None, tally, [0])
+    found = _descend(planner, planner.root(), 0, cfg, rng, None, tally)
     return _outcome(found is not None, found, tally, start, cfg.seed)
 
 
 def iterative_sampling(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
     """Memoryless random root-to-leaf probes until a solution leaf."""
     start = time.perf_counter()
-    tally = _Tally(cfg)
+    tally = _Tally(cfg.depth_limit, cfg.node_ceiling)
     rng = random.Random(cfg.seed)
     for iteration in range(1, cfg.max_iterations + 1):
         plan, depth = planner.root(), 0
-        while True:
-            tally.visit(depth)
-            if planner.is_solution(plan):
-                tally.leaves += 1
-                return _outcome(True, plan, tally, start, cfg.seed, iterations=iteration)
-            if depth == cfg.depth_limit:
-                tally.leaves += 1
-                break
-            result = planner.children(plan)
-            if not result.children:
-                tally.leaves += 1
-                break
-            plan = _pick(result, cfg.heuristic, rng)
+        while (result := _expand(planner, plan, depth, cfg, tally)) is not None:
+            plan = _pick(planner, result, cfg.heuristic, rng)
             depth += 1
+        if planner.is_solution(plan):
+            return _outcome(True, plan, tally, start, cfg.seed, iterations=iteration)
     return _outcome(False, None, tally, start, cfg.seed, iterations=cfg.max_iterations)
 
 
-def _pick(result: ExtensionResult, heuristic: str, rng: random.Random) -> Plan:
-    indices = list(range(len(result.children)))
+def _pick(planner: Planner, result: ExtensionResult, heuristic: str, rng: random.Random) -> Plan:
+    kids = result.children
     if heuristic == "min_goals_prune":
-        best = min(len(g) for g in result.goals)
-        indices = [i for i in indices if len(result.goals[i]) == best]
+        ratings = [min_goals_rating(planner, child) for child in kids]
+        best = min(ratings)
+        kids = tuple(child for child, rating in zip(kids, ratings) if rating == best)
     elif heuristic == "min_goals_weight":
-        weights = [1.0 / (1 + len(result.goals[i])) for i in indices]
-        return result.children[rng.choices(indices, weights=weights)[0]]
-    return result.children[indices[rng.randrange(len(indices))]]
+        weights = [1.0 / (1 + min_goals_rating(planner, child)) for child in kids]
+        return rng.choices(kids, weights=weights)[0]
+    return kids[rng.randrange(len(kids))]
 
 
 def iterative_broadening(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
@@ -216,15 +187,15 @@ def iterative_broadening(planner: Planner, cfg: StrategyConfig) -> SearchOutcome
     pass ran uncut and found nothing.
     """
     start = time.perf_counter()
-    tally = _Tally(cfg)
+    tally = _Tally(cfg.depth_limit, cfg.node_ceiling)
     cutoff = 1
     while True:
         rng = random.Random(cfg.seed)
-        max_width = [0]
-        found = _descend(planner, planner.root(), 0, cfg, rng, cutoff, tally, max_width)
+        tally.max_width = 0
+        found = _descend(planner, planner.root(), 0, cfg, rng, cutoff, tally)
         if found is not None:
             return _outcome(True, found, tally, start, cfg.seed, final_cutoff=cutoff)
-        if cutoff >= max_width[0]:
+        if cutoff >= tally.max_width:
             return _outcome(False, None, tally, start, cfg.seed, final_cutoff=cutoff)
         cutoff += 1
 

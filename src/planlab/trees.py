@@ -55,6 +55,26 @@ class TreeCeilingError(RuntimeError):
         self.ceiling = ceiling
 
 
+class _Tally:
+    """Node, leaf and per-depth visit counts of one search or enumeration,
+    bounded by the node ceiling (unset: `default_node_ceiling()`)."""
+
+    def __init__(self, depth_limit: int, node_ceiling: Optional[int] = None):
+        if depth_limit < 0:
+            raise ValueError("depth_limit must be >= 0")
+        self.nodes = 0
+        self.leaves = 0
+        self.levels = [0] * (depth_limit + 1)
+        self.ceiling = default_node_ceiling() if node_ceiling is None else node_ceiling
+        self.max_width = 0  # widest child list seen, for iterative broadening
+
+    def visit(self, depth: int) -> None:
+        if self.nodes == self.ceiling:
+            raise TreeCeilingError(self.nodes, self.ceiling)
+        self.nodes += 1
+        self.levels[depth] += 1
+
+
 @dataclass
 class SearchNode:
     id: int
@@ -94,16 +114,14 @@ def enumerate_tree(
 ) -> SearchTree:
     """The complete derivation tree to `depth_limit`, preorder ids; the
     ceiling defaults to `default_node_ceiling()`."""
-    if node_ceiling is None:
-        node_ceiling = default_node_ceiling()
+    tally = _Tally(depth_limit, node_ceiling)
     tree = SearchTree(
         problem=planner.problem, planner_kind=planner.kind, depth_limit=depth_limit
     )
 
     def visit(plan: Plan, parent_id: Optional[int], depth: int, cost: Optional[ChildCost]) -> int:
-        node_id = len(tree.nodes)
-        if node_id >= node_ceiling:
-            raise TreeCeilingError(node_id, node_ceiling)
+        node_id = tally.nodes
+        tally.visit(depth)
         goals = planner.goal_set(plan)
         node = SearchNode(
             id=node_id,

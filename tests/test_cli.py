@@ -76,6 +76,12 @@ class TestSolve:
     def test_bad_flag_exit_two(self, sussman_file):
         assert main(["solve", sussman_file, "--planner", "zz"]) == EXIT_USAGE
 
+    def test_zero_trials_refused(self, sussman_file, capsys):
+        assert main(["solve", sussman_file, "--trials", "0"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: depth_limit must be >= 0 and trials >= 1\n"
+
     def test_fixture_path(self, capsys):
         code = main(["solve", "fixture:fig9", "--planner", "ua", "--strategy", "bfs"])
         assert code == EXIT_OK
@@ -141,6 +147,13 @@ class TestCeilings:
     def test_bad_node_ceiling_flag_refused(self, sussman_file, capsys, command, raw):
         assert main([command, sussman_file, "--node-ceiling", raw]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "dump-tree"])
+    def test_negative_depth_limit_refused(self, sussman_file, capsys, command):
+        assert main([command, sussman_file, "--depth-limit", "-1"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: depth limit must be >= 0, not '-1'\n"
 
     def test_environment_ceiling_honoured(self, sussman_file, monkeypatch):
         monkeypatch.setenv("PLANLAB_NODE_CEILING", "5")
@@ -219,6 +232,15 @@ class TestExperiment:
         heur_cells = [c for c in summary if c["heuristic"] == "min_goals_rank"]
         assert heur_cells
         assert all(c["improvement_vs_plain_pct"] != "" for c in heur_cells)
+
+    def test_experiment_honours_node_ceiling(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PLANLAB_NODE_CEILING", "100")
+        cfg = self.write_config(
+            tmp_path, problems="fixture:fig17", planners="mt", strategies="bfs", depth_limit=12
+        )
+        assert main(["experiment", cfg]) == EXIT_CEILING
+        assert capsys.readouterr() == ("", "error: search tree exceeded 100 nodes (at 100)\n")
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

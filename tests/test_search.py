@@ -119,7 +119,7 @@ class TestDfs:
         result = planner.children(target.plan)
         import random
 
-        ordered = rank_children(result, "min_goals_rank", random.Random(3))
+        ordered = rank_children(planner, result, "min_goals_rank", random.Random(3))
         first = ordered[0]
         relay = [s.label for s in first.steps if s.name == "relay"][0]
         supplier = [s.label for s in first.steps if s.name == "supplier"][0]
@@ -238,7 +238,7 @@ class TestMinGoals:
             if not n.children_ids:
                 continue
             result = planner.children(n.plan)
-            ordered = rank_children(result, "min_goals_rank")
+            ordered = rank_children(planner, result, "min_goals_rank")
             ratings = [min_goals_rating(planner, c) for c in ordered]
             assert ratings == sorted(ratings)
 
@@ -252,8 +252,8 @@ class TestMinGoals:
             if not n.children_ids:
                 continue
             result = planner.children(n.plan)
-            kept = rank_children(result, "min_goals_prune")
-            best = min(len(g) for g in result.goals)
+            kept = rank_children(planner, result, "min_goals_prune")
+            best = min(len(planner.goal_set(c)) for c in result.children)
             assert all(min_goals_rating(planner, c) == best for c in kept)
 
 
@@ -273,6 +273,13 @@ class TestNodeCeiling:
         with pytest.raises(TreeCeilingError) as exc:
             run_search(make_planner("ua", prob), replace(cfg, node_ceiling=free.nodes_expanded - 1))
         assert exc.value.count == exc.value.ceiling == free.nodes_expanded - 1
+
+    def test_unset_ceiling_is_the_environment_default(self, monkeypatch):
+        monkeypatch.setenv("PLANLAB_NODE_CEILING", "3")
+        cfg = StrategyConfig(strategy="bfs", depth_limit=3)
+        with pytest.raises(TreeCeilingError) as exc:
+            run_search(make_planner("ua", fixture("sussman")), cfg)
+        assert exc.value.count == exc.value.ceiling == 3
 
     def test_ceiling_must_be_positive(self):
         with pytest.raises(ValueError):

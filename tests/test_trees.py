@@ -50,6 +50,10 @@ class TestEnumerateTree:
             enumerate_tree(make_planner("to", prob), 3, node_ceiling=10)
         assert exc.value.count == 10
 
+    def test_negative_depth_limit_refused(self):
+        with pytest.raises(ValueError):
+            enumerate_tree(make_planner("to", fixture("sussman")), -1)
+
     def test_partial_order_tree_never_larger(self):
         for goals in [(1, 2), (1, 3), (1, 2, 3), (2, 4)]:
             prob = d1s1_problem(goals)
