@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 from .domains import (
     BlocksworldSpec,
-    ParseError,
     blocksworld_problem,
     fixture,
     fixture_names,
@@ -155,7 +154,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _planner_config(args: argparse.Namespace, seed: Optional[int] = None) -> PlannerConfig:
-    mode = "seeded" if getattr(args, "seeded_goals", False) else "deterministic"
+    mode = "seeded" if args.seeded_goals else "deterministic"
     return PlannerConfig(goal_selection=mode, seed=args.seed if seed is None else seed)
 
 
@@ -166,9 +165,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     problem = _load_problem(args.problem)
     depth = _resolve_depth(problem, args.depth_limit)
     ceiling = args.node_ceiling
+    config = _planner_config(args)
     if args.mt:
-        tree_mt = enumerate_tree(make_planner("mt", problem), depth, ceiling)
-        tree_to = enumerate_tree(make_planner("to", problem), depth, ceiling)
+        tree_mt = enumerate_tree(make_planner("mt", problem, config), depth, ceiling)
+        tree_to = enumerate_tree(make_planner("to", problem, config), depth, ceiling)
         print(f"|tree_mt| = {len(tree_mt)}  |tree_to| = {len(tree_to)}")
         violations = sibling_overlap_violations(tree_mt, tree_to)
         print(f"overlapping sibling pairs: {len(violations)}")
@@ -182,8 +182,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_UNSOLVED
 
     kinds = ("uac", "toc") if args.conditional else ("ua", "to")
-    tree_pa = enumerate_tree(make_planner(kinds[0], problem), depth, ceiling)
-    tree_to = enumerate_tree(make_planner(kinds[1], problem), depth, ceiling)
+    tree_pa = enumerate_tree(make_planner(kinds[0], problem, config), depth, ceiling)
+    tree_to = enumerate_tree(make_planner(kinds[1], problem, config), depth, ceiling)
     print(f"|tree_{kinds[0]}| = {len(tree_pa)}  |tree_{kinds[1]}| = {len(tree_to)}")
     cmap = build_correspondence(tree_pa, tree_to)
     if args.dump_map:
@@ -248,13 +248,8 @@ class ExperimentConfig:
             if p not in PLANNERS:
                 raise ValueError(f"unknown planner {p!r}")
         for s in self.strategies:
-            if s not in STRATEGIES:
-                raise ValueError(f"unknown strategy {s!r}")
-        for h in self.heuristics:
-            if h not in HEURISTICS:
-                raise ValueError(f"unknown heuristic {h!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            for h in self.heuristics:
+                StrategyConfig(strategy=s, heuristic=h, trials=self.trials)
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
@@ -514,13 +509,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TreeCeilingError, OracleCeilingError, PlanSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CEILING
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -322,11 +322,16 @@ def initial_plan(problem: Problem) -> Plan:
 
 
 def extend(parent: Plan, new_step: Optional[Step], new_edges: Iterable[tuple[int, int]]) -> Plan:
-    """Produce the child plan obtained by one extension (copy, never mutate)."""
+    """Produce the child plan obtained by one extension (copy, never mutate).
+
+    A new step must carry ``fresh_label(parent)``, so appending it keeps the
+    steps in label order."""
     if new_step is None:
         steps = parent.steps
+    elif new_step.label == fresh_label(parent):
+        steps = parent.steps + (new_step,)
     else:
-        steps = tuple(sorted(parent.steps + (new_step,), key=lambda s: s.label))
+        raise ValueError(f"new step label {new_step.label} must be {fresh_label(parent)}")
     order = parent.order | frozenset(new_edges)
     return Plan(steps=steps, order=order, parent=parent, depth=parent.depth + 1)
 

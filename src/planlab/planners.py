@@ -7,7 +7,8 @@ how a child is ordered and which goals count as open:
   1. termination check   (``children`` refuses solved plans)
   2. goal selection      (first open goal, or a seeded choice)
   3. operator selection  (library operators that add the selected goal)
-  4. ordering selection  (planner specific, instrumented)
+  4. ordering selection  (planner specific, instrumented): each child
+                         plan, built once by ``model.extend``
   5. goal updating       (the child's open goals, instrumented)
 
 Planner kinds and their ordering stages:
@@ -38,7 +39,7 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .model import (
     FINAL_STEP,
@@ -48,6 +49,7 @@ from .model import (
     Plan,
     Problem,
     Step,
+    extend,
     fresh_label,
     initial_plan,
 )
@@ -63,22 +65,15 @@ from .truth import (
 )
 
 
-def specialize(
-    op: Union[Step, OperatorSchema],
-    deps: Iterable[str],
-    strict: bool = False,
-) -> Union[Step, OperatorSchema]:
+def specialize(op: Union[Step, OperatorSchema], deps: Iterable[str]) -> Union[Step, OperatorSchema]:
     """Commit conditional effects of `op` whose dependencies are covered.
 
     The dependency set is promoted into the preconditions; every
     conditional effect whose dependencies are a subset of `deps` becomes
     unconditional; surviving conditional effects keep the residual
-    dependencies.  With ``strict=True`` only strict subsets are promoted,
-    which leaves an effect conditional even when `deps` equals its
-    dependency set exactly.
+    dependencies.
     """
     deps = frozenset(deps)
-    covered = (lambda d: d < deps) if strict else (lambda d: d <= deps)
 
     adds = set(op.adds)
     dels = set(op.dels)
@@ -87,14 +82,14 @@ def specialize(
     marked: set[int] = set()
     old_marked = op.marked if isinstance(op, Step) else frozenset()
     for i, ce in enumerate(op.cadds):
-        if covered(ce.deps):
+        if ce.deps <= deps:
             adds.add(ce.effect)
         else:
             if i in old_marked:
                 marked.add(len(cadds))
             cadds.append(CondEffect(ce.deps - deps, ce.effect))
     for ce in op.cdels:
-        if covered(ce.deps):
+        if ce.deps <= deps:
             dels.add(ce.effect)
         else:
             cdels.append(CondEffect(ce.deps - deps, ce.effect))
@@ -129,30 +124,27 @@ class PlannerConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """An ordering-stage result, before goal updating."""
-
-    steps: tuple[Step, ...]
-    edges: frozenset[tuple[int, int]]
-    chain: Optional[tuple[int, ...]]
-    visits4: int
-
-
-def _sorted_steps(steps: Iterable[Step]) -> tuple[Step, ...]:
-    return tuple(sorted(steps, key=lambda s: s.label))
-
-
-def _append_step(steps: tuple[Step, ...], new_step: Step) -> tuple[Step, ...]:
-    # labels are assigned consecutively, so appending preserves label order
-    return steps + (new_step,)
+def _spread(marks: set[int], start: int, adj: dict[int, Sequence[int]]) -> int:
+    """Mark `start` and everything reachable from it through `adj`; the
+    cost is one visit per out-edge of every newly marked node."""
+    cost = 0
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        if u in marks:
+            continue
+        marks.add(u)
+        for v in adj[u]:
+            cost += 1
+            if v not in marks:
+                stack.append(v)
+    return cost
 
 
 class Planner:
     """Shared extension pipeline; subclasses provide the ordering stage."""
 
     kind: str = ""
-    interaction_mode: str = "basic"
     conditional: bool = False
 
     def __init__(self, problem: Problem, config: Optional[PlannerConfig] = None):
@@ -197,32 +189,21 @@ class Planner:
         if not goals:
             raise ValueError("plan is already solved; nothing to extend")
         goal = self.select_goal(plan, goals)
-        candidates = [
-            branch
-            for cand in self._ordering_candidates(plan, goal)
-            for branch in self._role_branches(cand)
-        ]
         children: list[Plan] = []
         costs: list[ChildCost] = []
-        for cand in candidates:
-            child = Plan(
-                steps=cand.steps,
-                order=cand.edges,
-                parent=plan,
-                depth=plan.depth + 1,
-            )
-            if cand.chain is not None:
-                child.__dict__["linear_order"] = cand.chain
-                child.__dict__["is_total"] = True
-            self._goal_cache[child], visits5 = self._compute_goals(child)
-            children.append(child)
-            costs.append(ChildCost(cand.visits4, visits5))
+        for cand, visits4 in self._ordering_candidates(plan, goal):
+            for child in self._role_branches(cand):
+                self._goal_cache[child], visits5 = self._compute_goals(child)
+                children.append(child)
+                costs.append(ChildCost(visits4, visits5))
         return ExtensionResult(tuple(children), tuple(costs))
 
-    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[_Candidate]:
+    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
+        """(child plan, step-4 edge visits) for every ordering of a new
+        establishment of `goal`."""
         raise NotImplementedError
 
-    def _role_branches(self, cand: _Candidate) -> list[_Candidate]:
+    def _role_branches(self, cand: Plan) -> list[Plan]:
         return [cand]
 
     # -- operator selection --------------------------------------------
@@ -249,24 +230,25 @@ class TotalOrderPlanner(Planner):
         seq = plan.sequence
         return tuple(false_in_sequence(plan, seq)), len(seq)
 
-    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[_Candidate]:
+    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
         c, needer = goal.condition, goal.needer
         seq = plan.sequence
         deleter = last_deleter(plan, c, needer)
         i, j = seq.index(deleter), seq.index(needer)
         label = fresh_label(plan)
-        out: list[_Candidate] = []
+        out: list[tuple[Plan, int]] = []
         for new_step in self._adder_instances(c, label):
-            steps = _append_step(plan.steps, new_step)
             for g in range(j - 1, i - 1, -1):  # positions from the needer backward
-                edges = plan.order | {
+                edges = {
                     (seq[g], label),
                     (label, seq[g + 1]),
                     (INIT_STEP, label),
                     (label, FINAL_STEP),
                 }
-                chain = seq[: g + 1] + (label,) + seq[g + 1 :]
-                out.append(_Candidate(steps, frozenset(edges), chain, 1))
+                child = extend(plan, new_step, edges)
+                child.__dict__["linear_order"] = seq[: g + 1] + (label,) + seq[g + 1 :]
+                child.__dict__["is_total"] = True
+                out.append((child, 1))
         return out
 
 
@@ -283,7 +265,7 @@ class UnambiguousPlanner(Planner):
         visits = len(plan.order) + 2 * len(plan.steps)
         return tuple(false_in_sequence(plan, plan.linear_order)), visits
 
-    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[_Candidate]:
+    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
         # A plan this planner derived is unambiguous by construction, and so
         # is the two-step root; only a plan handed in from outside is checked.
         if plan.parent is None and plan.length > 0 and not is_unambiguous(plan):
@@ -291,14 +273,14 @@ class UnambiguousPlanner(Planner):
         c, needer = goal.condition, goal.needer
         deleter = last_deleter(plan, c, needer)
         label = fresh_label(plan)
-        out: list[_Candidate] = []
+        out: list[tuple[Plan, int]] = []
         for new_step in self._adder_instances(c, label):
             out.extend(self._resolve_interactions(plan, new_step, deleter, needer))
         return out
 
     def _resolve_interactions(
         self, plan: Plan, new_step: Step, deleter: int, needer: int
-    ) -> list[_Candidate]:
+    ) -> list[tuple[Plan, int]]:
         label = new_step.label
         base = {
             (deleter, label),
@@ -306,51 +288,23 @@ class UnambiguousPlanner(Planner):
             (INIT_STEP, label),
             (label, FINAL_STEP),
         }
-        edges0 = plan.order | base
-        steps = _append_step(plan.steps, new_step)
-        labels = [s.label for s in steps]
-        succs: dict[int, list[int]] = {lab: [] for lab in labels}
-        preds: dict[int, list[int]] = {lab: [] for lab in labels}
-        for a, b in edges0:
-            succs[a].append(b)
-            preds[b].append(a)
+        child = extend(plan, new_step, base)
+        preds, succs = child.predecessors, child.successors
 
-        visits = 0
         before: set[int] = set()
         after: set[int] = set()
-        for marks, adj in ((before, preds), (after, succs)):
-            stack = [label]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    visits += 1
-                    if v not in marks:
-                        marks.add(v)
-                        stack.append(v)
-        visits += len(labels)  # scan for unlabeled interacting steps
+        visits = _spread(before, label, preds) + _spread(after, label, succs)
+        visits += len(child.steps)  # scan for unlabeled interacting steps
+        mode = "conditional" if self.conditional else "basic"
         cands = sorted(
             lab
             for lab in plan.labels
             if lab not in before
             and lab not in after
-            and steps_interact(plan.by_label[lab], new_step, self.interaction_mode)
+            and steps_interact(plan.by_label[lab], new_step, mode)
         )
 
-        out: list[_Candidate] = []
-
-        def spread(marks: set[int], start: int, adj: dict[int, list[int]]) -> int:
-            cost = 0
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                if u in marks:
-                    continue
-                marks.add(u)
-                for v in adj[u]:
-                    cost += 1
-                    if v not in marks:
-                        stack.append(v)
-            return cost
+        out: list[tuple[Plan, int]] = []
 
         def branch(
             idx: int,
@@ -362,14 +316,14 @@ class UnambiguousPlanner(Planner):
             while idx < len(cands) and (cands[idx] in before or cands[idx] in after):
                 idx += 1
             if idx == len(cands):
-                out.append(_Candidate(steps, frozenset(edges0) | extra, None, visits))
+                out.append((extend(plan, new_step, base | extra) if extra else child, visits))
                 return
             s = cands[idx]
             nb = set(before)
-            cost_b = spread(nb, s, preds)
+            cost_b = _spread(nb, s, preds)
             branch(idx + 1, nb, after, extra | {(s, label)}, visits + cost_b)
             na = set(after)
-            cost_a = spread(na, s, succs)
+            cost_a = _spread(na, s, succs)
             branch(idx + 1, before, na, extra | {(label, s)}, visits + cost_a)
 
         branch(0, before, after, frozenset(), visits)
@@ -380,10 +334,9 @@ class _RoleSelectionMixin:
     """Step 4b: branch on marking versus specializing every conditional add
     that a later step could consume."""
 
-    def _role_branches(self, cand: _Candidate) -> list[_Candidate]:
-        probe = Plan(steps=cand.steps, order=cand.edges, parent=None, depth=0)
-        after = probe.after_sets
-        results: list[_Candidate] = []
+    def _role_branches(self, cand: Plan) -> list[Plan]:
+        after = cand.after_sets
+        results: list[Plan] = []
 
         def find_trigger(steps_map: dict[int, Step]):
             for lab in sorted(steps_map):
@@ -409,14 +362,13 @@ class _RoleSelectionMixin:
         def branch(steps_map: dict[int, Step]) -> None:
             trigger = find_trigger(steps_map)
             if trigger is None:
-                results.append(
-                    _Candidate(
-                        _sorted_steps(steps_map.values()),
-                        cand.edges,
-                        cand.chain,
-                        cand.visits4,
-                    )
-                )
+                # Same order as the candidate, so its linearization still holds;
+                # the dict keeps label order.
+                variant = replace(cand, steps=tuple(steps_map.values()))
+                for key in ("linear_order", "is_total"):
+                    if key in cand.__dict__:
+                        variant.__dict__[key] = cand.__dict__[key]
+                results.append(variant)
                 return
             lab, idx, ce = trigger
             step = steps_map[lab]
@@ -439,7 +391,6 @@ class ConditionalUnambiguousPlanner(_RoleSelectionMixin, UnambiguousPlanner):
 
     kind = "uac"
     conditional = True
-    interaction_mode = "conditional"
 
 
 class ModalTruthPlanner(Planner):
@@ -463,10 +414,10 @@ class ModalTruthPlanner(Planner):
                 out.append(e)
         return tuple(out), visits
 
-    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[_Candidate]:
+    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
         c, needer = goal.condition, goal.needer
         label = fresh_label(plan)
-        out: list[_Candidate] = []
+        out: list[tuple[Plan, int]] = []
         seen: set = set()
         for s in plan.steps:
             if s.label == needer or c not in s.adds:
@@ -475,42 +426,33 @@ class ModalTruthPlanner(Planner):
                 continue  # necessarily after the needer: not possibly before
             out.extend(
                 self._resolve_threats(
-                    plan.steps,
-                    plan.order | {(s.label, needer)},
-                    s.label,
-                    c,
-                    needer,
-                    seen,
+                    plan, None, frozenset({(s.label, needer)}), s.label, c, needer, seen
                 )
             )
         for new_step in self._adder_instances(c, label):
-            steps = _append_step(plan.steps, new_step)
-            base = plan.order | {
-                (label, needer),
-                (INIT_STEP, label),
-                (label, FINAL_STEP),
-            }
-            out.extend(self._resolve_threats(steps, base, label, c, needer, seen))
+            base = frozenset({(label, needer), (INIT_STEP, label), (label, FINAL_STEP)})
+            out.extend(self._resolve_threats(plan, new_step, base, label, c, needer, seen))
         return out
 
     def _resolve_threats(
         self,
-        steps: tuple[Step, ...],
+        plan: Plan,
+        new_step: Optional[Step],
         edges: frozenset[tuple[int, int]],
         o_add: int,
         c: str,
         needer: int,
         seen: set,
-    ) -> list[_Candidate]:
-        steps_map = {s.label: s for s in steps}
-        out: list[_Candidate] = []
-
-        def closure(edge_set: frozenset) -> dict[int, frozenset[int]]:
-            return Plan(steps=steps, order=edge_set, parent=None, depth=0).after_sets
+    ) -> list[tuple[Plan, int]]:
+        """Children extending `plan` by `new_step` (or no step) and `edges`
+        plus one resolution of every threat to `o_add` establishing `c`."""
+        out: list[tuple[Plan, int]] = []
 
         def branch(edge_set: frozenset, handled: frozenset[int], visits: int) -> None:
-            after = closure(edge_set)
-            visits += len(edge_set)
+            child = extend(plan, new_step, edge_set)
+            steps_map = child.by_label
+            after = child.after_sets
+            visits += len(child.order)
             threats = sorted(
                 d
                 for d, st in steps_map.items()
@@ -522,12 +464,12 @@ class ModalTruthPlanner(Planner):
             )
             if not threats:
                 key = (
-                    tuple(s.signature for s in steps),
+                    tuple(s.signature for s in child.steps),
                     frozenset((a, b) for a in after for b in after[a]),
                 )
                 if key not in seen:
                     seen.add(key)
-                    out.append(_Candidate(steps, edge_set, None, visits))
+                    out.append((child, visits))
                 return
             d = threats[0]
             if needer not in after[d]:  # demotion stays acyclic

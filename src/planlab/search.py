@@ -22,6 +22,15 @@ from .trees import _Tally
 
 HEURISTICS = ("none", "min_goals_rank", "min_goals_prune", "min_goals_weight")
 STRATEGIES = ("bfs", "dfs", "isamp", "ibroad")
+# Heuristics a strategy never consults, so pairing them would rerun the plain
+# search under another name: bfs never rates children, dfs and ibroad rank
+# or prune but never weight, and isamp prunes or weights but never ranks.
+_IGNORED_HEURISTICS = {
+    "bfs": HEURISTICS[1:],
+    "dfs": ("min_goals_weight",),
+    "isamp": ("min_goals_rank",),
+    "ibroad": ("min_goals_weight",),
+}
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,8 @@ class StrategyConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic {self.heuristic!r}")
+        if self.heuristic in _IGNORED_HEURISTICS[self.strategy]:
+            raise ValueError(f"strategy {self.strategy!r} ignores heuristic {self.heuristic!r}")
         if self.depth_limit < 0 or self.trials < 1:
             raise ValueError("depth_limit must be >= 0 and trials >= 1")
         if self.node_ceiling is not None and self.node_ceiling < 1:

@@ -82,6 +82,11 @@ class TestSolve:
         assert out == ""
         assert err == "error: depth_limit must be >= 0 and trials >= 1\n"
 
+    def test_heuristic_the_strategy_ignores_refused(self, capsys):
+        code = main(["solve", "fixture:fig9", "--strategy", "bfs", "--heuristic", "min_goals_rank"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: strategy 'bfs' ignores heuristic 'min_goals_rank'\n")
+
     def test_fixture_path(self, capsys):
         code = main(["solve", "fixture:fig9", "--planner", "ua", "--strategy", "bfs"])
         assert code == EXIT_OK
@@ -114,6 +119,10 @@ class TestVerify:
 
     def test_ceiling_exit_three(self, sussman_file):
         assert main(["verify", sussman_file, "--node-ceiling", "5"]) == EXIT_CEILING
+
+    def test_seeded_goals_and_seed_honoured(self, capsys):
+        assert main(["verify", "fixture:sussman", "--seeded-goals", "--seed", "3"]) == EXIT_OK
+        assert "|tree_ua| = 37  |tree_to| = 37\n" in capsys.readouterr().out
 
     def test_dump_map(self, tmp_path, capsys):
         src = tmp_path / "chain.plan"
@@ -240,6 +249,12 @@ class TestExperiment:
         )
         assert main(["experiment", cfg]) == EXIT_CEILING
         assert capsys.readouterr() == ("", "error: search tree exceeded 100 nodes (at 100)\n")
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_heuristic_a_strategy_ignores_refused(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, strategies="dfs,isamp", heuristics="none,min_goals_rank")
+        assert main(["experiment", cfg]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: strategy 'isamp' ignores heuristic 'min_goals_rank'\n")
         assert not (tmp_path / "rows.csv").exists()
 
     def test_unknown_key_rejected(self, tmp_path):

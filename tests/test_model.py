@@ -230,6 +230,13 @@ class TestExtend:
         child = extend(root, step, {(INIT_STEP, 2), (2, FINAL_STEP)})
         child.linear_order  # raises on a cycle
 
+    @pytest.mark.parametrize("label", [1, 3])
+    def test_refuses_a_label_that_is_not_fresh(self, tiny_problem, label):
+        root = initial_plan(tiny_problem)
+        step = Step.from_schema(tiny_problem.library[0], label)
+        with pytest.raises(ValueError, match="new step label [13] must be 2"):
+            extend(root, step, {(INIT_STEP, label), (label, FINAL_STEP)})
+
 
 class TestCeilings:
     def test_linear_extension_count_ceiling(self):

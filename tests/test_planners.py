@@ -470,3 +470,31 @@ class TestGoalSelection:
             for s in range(10)
         }
         assert len(chosen) > 1
+
+
+class TestChildPlans:
+    """A child's preset or inherited order caches (``to`` chains, role
+    variants) must equal what a freshly built plan computes."""
+
+    @pytest.mark.parametrize(
+        "name, kind, depth",
+        [
+            ("fig13", "uac", 4),
+            ("fig13", "toc", 4),
+            ("fig17", "mt", 5),
+            ("sussman", "ua", 3),
+            ("sussman", "to", 3),
+            ("sussman", "mt", 3),
+        ],
+    )
+    def test_every_node_matches_a_fresh_plan(self, name, kind, depth):
+        tree = enumerate_tree(make_planner(kind, fixture(name)), depth)
+        for node in tree.nodes:
+            plan = node.plan
+            fresh = Plan(steps=plan.steps, order=plan.order)
+            assert plan.linear_order == fresh.linear_order
+            assert plan.is_total == fresh.is_total
+            assert plan.after_sets == fresh.after_sets
+            assert list(plan.labels) == sorted(plan.labels)
+            parent = None if node.parent_id is None else tree.nodes[node.parent_id].plan
+            assert plan.parent is parent

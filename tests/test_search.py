@@ -8,6 +8,8 @@ from planlab.domains import d1s1_problem, fixture
 from planlab.model import Problem, make_op
 from planlab.planners import PlannerConfig, make_planner
 from planlab.search import (
+    HEURISTICS,
+    STRATEGIES,
     SearchOutcome,
     StrategyConfig,
     bfs,
@@ -255,6 +257,32 @@ class TestMinGoals:
             kept = rank_children(planner, result, "min_goals_prune")
             best = min(len(planner.goal_set(c)) for c in result.children)
             assert all(min_goals_rating(planner, c) == best for c in kept)
+
+
+class TestHeuristicPairs:
+    IGNORED = {
+        ("bfs", "min_goals_rank"),
+        ("bfs", "min_goals_prune"),
+        ("bfs", "min_goals_weight"),
+        ("dfs", "min_goals_weight"),
+        ("ibroad", "min_goals_weight"),
+        ("isamp", "min_goals_rank"),
+    }
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("heuristic", HEURISTICS[1:])
+    def test_only_pairs_that_change_the_search_are_accepted(self, strategy, heuristic):
+        if (strategy, heuristic) in self.IGNORED:
+            with pytest.raises(ValueError, match=f"strategy {strategy!r} ignores heuristic"):
+                StrategyConfig(strategy=strategy, heuristic=heuristic)
+            return
+
+        def nodes(h: str) -> list[int]:
+            cfg = StrategyConfig(strategy=strategy, depth_limit=3, heuristic=h, seed=0, trials=4)
+            planners = lambda seed: make_planner("ua", fixture("fig9"), PlannerConfig("seeded", seed))
+            return [o.nodes_expanded for o in run_trials(planners, cfg)]
+
+        assert nodes(heuristic) != nodes("none")
 
 
 class TestNodeCeiling:

@@ -52,11 +52,6 @@ class TestSpecializeModes:
         out = specialize(op_with(cadds=[cond(["t"], "u")]), ["t"])
         assert "u" in out.adds
 
-    def test_strict_keeps_exact_match_conditional(self):
-        out = specialize(op_with(cadds=[cond(["t"], "u")]), ["t"], strict=True)
-        assert "u" not in out.adds
-        assert out.cadds == (CondEffect(frozenset(), "u"),)
-
     def test_step_marks_follow_surviving_pairs(self):
         step = Step(
             2,
