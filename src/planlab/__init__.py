@@ -9,7 +9,6 @@ total-order and partial-order search spaces.
 
 from .model import (
     CondEffect,
-    Ordering,
     OperatorSchema,
     Plan,
     PlanSizeError,
@@ -20,25 +19,19 @@ from .model import (
     extend,
     initial_plan,
     is_linearization,
-    is_subplan,
     linear_extensions,
-    linearizations,
     make_op,
-    ordering_relation,
     restrict,
 )
 from .truth import (
     AmbiguousLastDeleter,
     GoalEntry,
     ModalStatus,
-    goal_set,
-    interacts,
     is_compact_solution,
     is_solution_plan,
     is_unambiguous,
     last_deleter,
     modal_status,
-    true_in_total_order,
 )
 from .planners import (
     ExtensionResult,
@@ -65,7 +58,6 @@ from .trees import (
     SearchTree,
     TreeCeilingError,
     build_correspondence,
-    cost_ratio,
     enumerate_tree,
     sibling_overlap_violations,
     tree_stats,

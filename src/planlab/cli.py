@@ -244,6 +244,9 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        for key in ("problems", "planners", "strategies", "heuristics"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must list at least one entry")
         for p in self.planners:
             if p not in PLANNERS:
                 raise ValueError(f"unknown planner {p!r}")

@@ -6,8 +6,8 @@ direct ordering edges over step labels.  Label 0 is always the initial step
 (it adds the problem's initial state) and label 1 the final step (its
 preconditions are the problem's goals); further steps are labeled 2, 3, ...
 in derivation order.  Relational queries (before/after, linearization,
-equivalence, subplans) are answered on the transitive closure of the edge
-set, which is computed lazily and cached per plan.
+equivalence) are answered on the transitive closure of the edge set, which
+is computed lazily and cached per plan.
 
 Plans compare by identity, not by field value: two nodes of a search tree
 may carry structurally identical plans and must stay distinct.  Structural
@@ -17,10 +17,8 @@ bijection.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -31,7 +29,7 @@ FINAL_STEP = 1
 INIT_NAME = "#init"
 FINAL_NAME = "#goal"
 
-# Brute-force relational checks (equivalence, subplan search, linearization
+# Brute-force relational checks (equivalence, linearization checks and
 # enumeration) are exponential in plan size; refuse loudly rather than stall.
 STEP_CEILING = 32
 EXTENSION_CEILING = 1_000_000
@@ -150,12 +148,6 @@ class Step:
         )
         cdels = tuple(sorted((tuple(sorted(ce.deps)), ce.effect) for ce in self.cdels))
         return (self.name, self.pre, self.adds, self.dels, cadds, cdels)
-
-
-class Ordering(Enum):
-    BEFORE = "before"
-    AFTER = "after"
-    UNORDERED = "unordered"
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,20 +332,6 @@ def fresh_label(plan: Plan) -> int:
     return len(plan.steps)
 
 
-def ordering_relation(plan: Plan, a: int, b: int) -> Ordering:
-    """How two distinct steps relate under the plan's strict partial order."""
-    if a == b:
-        raise ValueError("ordering_relation requires two distinct labels")
-    for lab in (a, b):
-        if lab not in plan.by_label:
-            raise ValueError(f"plan has no step labeled {lab}")
-    if plan.before(a, b):
-        return Ordering.BEFORE
-    if plan.before(b, a):
-        return Ordering.AFTER
-    return Ordering.UNORDERED
-
-
 def _check_size(plan: Plan, what: str) -> None:
     if len(plan.steps) > STEP_CEILING:
         raise PlanSizeError(
@@ -388,19 +366,6 @@ def linear_extensions(plan: Plan, limit: int = EXTENSION_CEILING) -> list[tuple[
             placed.discard(lab)
 
     rec()
-    return out
-
-
-def linearizations(plan: Plan) -> list[Plan]:
-    """All topological orders of the plan as totally ordered plans.
-
-    The returned plans keep the original steps and carry the original order
-    plus the chain edges of the chosen total order.
-    """
-    out = []
-    for seq in linear_extensions(plan):
-        chain = frozenset(zip(seq, seq[1:]))
-        out.append(Plan(steps=plan.steps, order=plan.order | chain, parent=None, depth=0))
     return out
 
 
@@ -490,19 +455,3 @@ def restrict(plan: Plan, labels: Iterable[int]) -> Plan:
     edges = frozenset((a, b) for a in keep for b in plan.after_sets[a] if b in keep)
     return Plan(steps=steps, order=edges, parent=None, depth=0)
 
-
-def is_subplan(p1: Plan, p2: Plan) -> bool:
-    """True iff p1 is equivalent to p2 restricted to some subset of steps."""
-    if len(p1.steps) > len(p2.steps):
-        return False
-    _check_size(p2, "subplan search")
-    need = Counter(s.signature for s in p1.steps)
-    have = Counter(s.signature for s in p2.steps)
-    if any(need[k] > have.get(k, 0) for k in need):
-        return False
-    for combo in itertools.combinations(p2.labels, len(p1.steps)):
-        if Counter(p2.by_label[lab].signature for lab in combo) != need:
-            continue
-        if equivalent(p1, restrict(p2, combo)):
-            return True
-    return False

@@ -18,7 +18,6 @@ the map would otherwise surface.
 
 from __future__ import annotations
 
-import json
 import os
 import statistics
 from dataclasses import dataclass, field
@@ -101,9 +100,6 @@ class SearchTree:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def leaves(self) -> list[SearchNode]:
-        return [n for n in self.nodes if not n.children_ids]
 
     def solutions(self) -> list[SearchNode]:
         return [n for n in self.nodes if n.is_solution]
@@ -348,32 +344,6 @@ def tree_stats(tree: SearchTree, depth_bound: Optional[int] = None) -> TreeStats
     )
 
 
-def covering_edge_count(plan: Plan) -> int:
-    """Edges of the transitive reduction of the plan's order."""
-    after = plan.after_sets
-    count = 0
-    for a in plan.labels:
-        for b in after[a]:
-            if not any(b in after[c] for c in after[a] if c != b):
-                count += 1
-    return count
-
-
-def cost_ratio(tree_pa: SearchTree, cmap: CorrespondenceMap) -> float:
-    """Estimated total-order/partial-order work ratio over the enumerated
-    breadth-first prefix: sum of steps times image size, over sum of
-    covering edges."""
-    numerator = 0
-    denominator = 0
-    for n in tree_pa.nodes:
-        image = cmap.image(n.id)
-        if not image:
-            raise ValueError(f"cost ratio requires a total map; node {n.id} has no image")
-        numerator += len(n.plan.steps) * len(image)
-        denominator += covering_edge_count(n.plan)
-    return numerator / denominator
-
-
 # -- JSON dumps ----------------------------------------------------------
 
 
@@ -407,15 +377,3 @@ def map_to_json(cmap: CorrespondenceMap) -> list[dict]:
         for u_id, t_ids in sorted(cmap.pairs.items())
     ]
 
-
-def tree_from_json(text: str) -> list[dict]:
-    """Reload a dumped tree; validates the node array shape."""
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("tree dump must be a JSON array of nodes")
-    required = {"id", "parent", "depth", "operator_sequence", "edges", "goals", "solution", "dead_end"}
-    for i, node in enumerate(data):
-        missing = required - set(node)
-        if missing:
-            raise ValueError(f"node {i} is missing fields {sorted(missing)}")
-    return data

@@ -57,7 +57,6 @@ class AmbiguousLastDeleter(ValueError):
 
 
 InteractionMode = Literal["basic", "conditional"]
-Semantics = Literal["to", "ua", "mt"]
 
 
 def true_in_sequence(plan: Plan, seq: Sequence[int], needer: int, c: str) -> bool:
@@ -70,11 +69,6 @@ def true_in_sequence(plan: Plan, seq: Sequence[int], needer: int, c: str) -> boo
         if c in step.dels:
             return False
     return False
-
-
-def true_in_total_order(plan: Plan, needer: int, c: str) -> bool:
-    """Truth of precondition c at `needer`; requires a totally ordered plan."""
-    return true_in_sequence(plan, plan.sequence, needer, c)
 
 
 def _adders_and_deleters(plan: Plan, needer: int, c: str) -> tuple[list[int], list[int]]:
@@ -178,15 +172,6 @@ def steps_interact(s1: Step, s2: Step, mode: InteractionMode = "basic") -> bool:
     return bool(adds1 & dels2 or adds2 & dels1)
 
 
-def interacts(plan: Plan, a: int, b: int, mode: InteractionMode = "basic") -> bool:
-    """True iff steps a and b are unordered and their fields clash."""
-    if a == b:
-        raise ValueError("a step does not interact with itself")
-    if plan.before(a, b) or plan.before(b, a):
-        return False
-    return steps_interact(plan.by_label[a], plan.by_label[b], mode)
-
-
 def precondition_entries(plan: Plan) -> list[GoalEntry]:
     """Every (step, precondition) pair, in canonical order."""
     out = [
@@ -227,33 +212,6 @@ def false_in_sequence(plan: Plan, seq: Sequence[int]) -> list[GoalEntry]:
         state |= step.adds
     out.sort(key=GoalEntry.key)
     return out
-
-
-def goal_set(plan: Plan, semantics: Semantics) -> tuple[GoalEntry, ...]:
-    """The open requirements of a plan under a planner's goal semantics.
-
-    ``to``: preconditions that are false (totally ordered plans only).
-    ``ua``: preconditions that are necessarily false.
-    ``mt``: preconditions that are not necessarily true (ambiguity counts).
-
-    Entries are ordered by (needer label, proposition).
-    """
-    if semantics == "to":
-        return tuple(false_in_sequence(plan, plan.sequence))
-    if semantics == "ua":
-        keep = (ModalStatus.NECESSARILY_FALSE,)
-    elif semantics == "mt":
-        keep = (ModalStatus.NECESSARILY_FALSE, ModalStatus.AMBIGUOUS)
-    else:
-        raise ValueError(f"unknown goal semantics {semantics!r}")
-    if plan.is_total:
-        false = set(e.key() for e in false_in_sequence(plan, plan.sequence))
-        return tuple(e for e in precondition_entries(plan) if e.key() in false)
-    return tuple(
-        e
-        for e in precondition_entries(plan)
-        if modal_status(plan, e.needer, e.condition) in keep
-    )
 
 
 def is_solution_plan(plan: Plan) -> bool:

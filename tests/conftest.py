@@ -12,6 +12,7 @@ from planlab.model import (
     Problem,
     Step,
     initial_plan,
+    linear_extensions,
     make_op,
 )
 
@@ -53,6 +54,15 @@ def brute_topological_orders(plan: Plan) -> list[tuple[int, ...]]:
         if all(pos[a] < pos[b] for a, b in closure):
             out.append(perm)
     return out
+
+
+def linearization_plans(plan: Plan) -> list[Plan]:
+    """Every linear extension of `plan` as a totally ordered plan over the
+    same steps: the original order plus the extension's chain edges."""
+    return [
+        Plan(steps=plan.steps, order=plan.order | frozenset(zip(seq, seq[1:])))
+        for seq in linear_extensions(plan)
+    ]
 
 
 def random_plan(rng: random.Random, max_middle: int = 4) -> Plan:

@@ -43,6 +43,8 @@ from planlab.trees import (
 )
 from planlab.truth import is_unambiguous_brute, last_deleter, steps_interact
 
+pytestmark = pytest.mark.acceptance
+
 SUITE_TRIALS = 25
 BASE_SEED = 0
 

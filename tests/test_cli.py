@@ -257,6 +257,13 @@ class TestExperiment:
         assert capsys.readouterr() == ("", "error: strategy 'isamp' ignores heuristic 'min_goals_rank'\n")
         assert not (tmp_path / "rows.csv").exists()
 
+    @pytest.mark.parametrize("key", ["problems", "planners", "strategies", "heuristics"])
+    def test_empty_list_refused(self, tmp_path, capsys, key):
+        cfg = self.write_config(tmp_path, **{key: ""})
+        assert main(["experiment", cfg]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {key} must list at least one entry\n")
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("frobnicate = 3\n")
@@ -301,9 +308,7 @@ class TestGenAndDump:
             ["dump-tree", str(src), "--planner", "ua", "--output", str(out)]
         )
         assert code == EXIT_OK
-        from planlab.trees import tree_from_json
-
-        nodes = tree_from_json(out.read_text())
+        nodes = json.loads(out.read_text())
         assert len(nodes) == 4
 
     def test_dump_empty_goal_single_node(self, tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from planlab.model import (
     FINAL_STEP,
     INIT_STEP,
-    Ordering,
     Plan,
     PlanSizeError,
     Problem,
@@ -18,15 +17,12 @@ from planlab.model import (
     extend,
     initial_plan,
     is_linearization,
-    is_subplan,
     linear_extensions,
-    linearizations,
     make_op,
-    ordering_relation,
     restrict,
 )
 
-from conftest import brute_topological_orders, chain_plan, random_plan
+from conftest import brute_topological_orders, chain_plan, linearization_plans, random_plan
 
 
 def plan_of(edges, middle=3) -> Plan:
@@ -70,39 +66,29 @@ class TestOrderingRelation:
     def test_initial_plan_edge(self):
         prob = Problem("p", frozenset(), frozenset(), ())
         plan = initial_plan(prob)
-        assert ordering_relation(plan, INIT_STEP, FINAL_STEP) is Ordering.BEFORE
+        assert plan.before(INIT_STEP, FINAL_STEP)
 
     def test_chain_after(self):
         plan = plan_of({(2, 3)}, middle=2)
-        assert ordering_relation(plan, 3, 2) is Ordering.AFTER
+        assert plan.before(2, 3) and not plan.before(3, 2)
 
     def test_unordered(self):
         plan = plan_of(set(), middle=2)
-        assert ordering_relation(plan, 2, 3) is Ordering.UNORDERED
+        assert not plan.before(2, 3) and not plan.before(3, 2)
 
     def test_transitive_before(self):
         plan = plan_of({(2, 3), (3, 4)})
-        assert ordering_relation(plan, 2, 4) is Ordering.BEFORE
-
-    def test_unknown_label_raises(self):
-        plan = plan_of(set(), middle=1)
-        with pytest.raises(ValueError):
-            ordering_relation(plan, 2, 99)
-
-    def test_same_label_raises(self):
-        plan = plan_of(set(), middle=1)
-        with pytest.raises(ValueError):
-            ordering_relation(plan, 2, 2)
+        assert plan.before(2, 4)
 
 
 class TestLinearizations:
     def test_totally_ordered_has_one(self):
         plan = plan_of({(2, 3), (3, 4)})
-        assert len(linearizations(plan)) == 1
+        assert len(linear_extensions(plan)) == 1
 
     def test_three_parallel_steps_factorial(self):
         plan = plan_of(set(), middle=3)
-        assert len(linearizations(plan)) == 6
+        assert len(linear_extensions(plan)) == 6
 
     def test_counts_match_brute_force(self):
         rng = random.Random(7)
@@ -112,7 +98,7 @@ class TestLinearizations:
 
     def test_linearizations_are_total_and_contain_original(self):
         plan = plan_of({(2, 3)})
-        for lin in linearizations(plan):
+        for lin in linearization_plans(plan):
             assert lin.is_total
             assert plan.order <= lin.order
             assert is_linearization(lin, plan)
@@ -198,21 +184,11 @@ class TestEquivalence:
 
 
 class TestSubplans:
-    def test_initial_plan_is_subplan_of_extensions(self, tiny_problem):
-        root = initial_plan(tiny_problem)
-        bigger = chain_plan(tiny_problem, ["win", "spoil"])
-        assert is_subplan(root, bigger)
-
     def test_restriction_drops_steps_keeps_order(self):
         plan = plan_of({(2, 3), (3, 4)})
         sub = restrict(plan, [INIT_STEP, FINAL_STEP, 2, 4])
         assert sub.before(2, 4)
         assert len(sub.steps) == 4
-
-    def test_not_subplan_when_operators_missing(self, tiny_problem):
-        a = chain_plan(tiny_problem, ["spoil"])
-        b = chain_plan(tiny_problem, ["win", "win"])
-        assert not is_subplan(a, b)
 
 
 class TestExtend:

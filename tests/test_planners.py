@@ -29,7 +29,7 @@ from planlab.truth import (
     steps_interact,
 )
 
-from conftest import chain_plan
+from conftest import chain_plan, linearization_plans
 
 
 def find_node(tree, middle_names, require_goals=True):
@@ -390,17 +390,11 @@ class TestLinearizationTraceback:
                 continue
             parent = tree.node(n.parent_id).plan
             new_label = max(n.plan.labels)
-            for lin in _linearization_plans(n.plan)[:6]:
+            for lin in linearization_plans(n.plan)[:6]:
                 reduced = restrict(lin, [lab for lab in lin.labels if lab != new_label])
                 assert is_linearization(reduced, parent)
                 to_result = to.children(_reseat(reduced, parent))
                 assert any(equivalent(child, lin) for child in to_result.children)
-
-
-def _linearization_plans(plan):
-    from planlab.model import linearizations
-
-    return linearizations(plan)
 
 
 def _reseat(total_plan, like):

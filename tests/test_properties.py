@@ -4,8 +4,9 @@ Hypothesis draws unconditional problems with at most three operators over
 four propositions and checks, at depth limits up to 3, the structural
 claims the hand-picked suite checks: the correspondence map is total and
 disjoint and partitions the total-order tree, the partial-order tree is
-no larger, and every partial-order node is unambiguous.  The examples are
-derandomized, so every run checks the same problems.
+no larger, and every partial-order node is unambiguous and has a unique
+last deleter for every precondition.  The examples are derandomized, so
+every run checks the same problems.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from planlab.trees import (
     verify_partition,
     verify_totality,
 )
-from planlab.truth import is_unambiguous_brute
+from planlab.truth import is_unambiguous_brute, last_deleter, precondition_entries
 
 PROPS = ("a", "b", "c", "d")
 SUBSETS = st.integers(0, 2 ** len(PROPS) - 1).map(
@@ -60,6 +61,21 @@ INDEPENDENT = Problem(
 )
 
 
+# The third goal's adder o2 interacts with two steps that are unordered with
+# each other and with it, so the ua ordering stage branches on both before
+# and after for each of them in one extension.
+TWO_INTERACTING = Problem(
+    name="two-interacting",
+    init=frozenset({"d"}),
+    goals=frozenset({"a", "b", "c"}),
+    library=(
+        make_op("o0", adds={"a", "d"}),
+        make_op("o1", adds={"b", "d"}),
+        make_op("o2", pre={"d"}, adds={"c"}, dels={"d"}),
+    ),
+)
+
+
 def _trees(problem: Problem, depth: int):
     tree_ua = enumerate_tree(make_planner("ua", problem), depth)
     tree_to = enumerate_tree(make_planner("to", problem), depth)
@@ -69,6 +85,7 @@ def _trees(problem: Problem, depth: int):
 @EXAMPLES
 @given(problem=problems(), depth=st.sampled_from((3, 2, 1, 0)))
 @example(problem=INDEPENDENT, depth=2)
+@example(problem=TWO_INTERACTING, depth=3)
 def test_correspondence_partitions_the_total_order_tree(problem, depth):
     tree_ua, tree_to = _trees(problem, depth)
     cmap = build_correspondence(tree_ua, tree_to)
@@ -84,6 +101,11 @@ def test_correspondence_partitions_the_total_order_tree(problem, depth):
 
 @EXAMPLES
 @given(problem=problems(), depth=st.sampled_from((3, 2, 1, 0)))
+@example(problem=TWO_INTERACTING, depth=3)
 def test_every_ua_node_is_unambiguous(problem, depth):
     tree_ua, _ = _trees(problem, depth)
-    assert all(is_unambiguous_brute(node.plan) for node in tree_ua.nodes)
+    for node in tree_ua.nodes:
+        assert is_unambiguous_brute(node.plan)
+        for entry in precondition_entries(node.plan):
+            # raises AmbiguousLastDeleter on two unordered latest deleters
+            last_deleter(node.plan, entry.condition, entry.needer)
