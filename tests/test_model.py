@@ -80,6 +80,17 @@ class TestOrderingRelation:
         plan = plan_of({(2, 3), (3, 4)})
         assert plan.before(2, 4)
 
+    def test_unknown_label_raises(self):
+        plan = plan_of(set(), middle=1)
+        with pytest.raises(ValueError, match="no step labeled 99"):
+            plan.step(99)
+
+    def test_no_step_before_itself(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            plan = random_plan(rng)
+            assert not any(plan.before(lab, lab) for lab in plan.labels)
+
 
 class TestLinearizations:
     def test_totally_ordered_has_one(self):
@@ -184,11 +195,23 @@ class TestEquivalence:
 
 
 class TestSubplans:
+    # p1 is a subplan of p2 iff p1 is equivalent to p2 restricted to some steps
+    def test_initial_plan_is_subplan_of_extensions(self, tiny_problem):
+        root = initial_plan(tiny_problem)
+        bigger = chain_plan(tiny_problem, ["win", "spoil"])
+        assert equivalent(root, restrict(bigger, root.labels))
+
     def test_restriction_drops_steps_keeps_order(self):
         plan = plan_of({(2, 3), (3, 4)})
         sub = restrict(plan, [INIT_STEP, FINAL_STEP, 2, 4])
         assert sub.before(2, 4)
         assert len(sub.steps) == 4
+
+    def test_not_subplan_when_operators_missing(self, tiny_problem):
+        a = chain_plan(tiny_problem, ["spoil"])
+        b = chain_plan(tiny_problem, ["win", "win"])
+        for lab in b.middle_labels:
+            assert not equivalent(a, restrict(b, [INIT_STEP, FINAL_STEP, lab]))
 
 
 class TestExtend:

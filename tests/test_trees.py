@@ -114,6 +114,15 @@ class TestCorrespondence:
         ua_tree, to_tree, cmap = self.build(d1s1_problem([1, 2, 3]), 3)
         assert cmap.image_size_sum() == len(to_tree)
 
+    def test_unordered_goals_widen_images(self):
+        # non-adjacent goal indices leave steps unordered, so one partial-order
+        # node stands for several total-order nodes
+        _, _, near = self.build(d1s1_problem([1, 2]), 2)
+        far_ua, far_to, far = self.build(d1s1_problem([1, 3, 5]), 3)
+        assert max(len(imgs) for imgs in near.pairs.values()) == 1
+        assert max(len(imgs) for imgs in far.pairs.values()) > 1
+        assert len(far_to) > len(far_ua)
+
     def test_totally_ordered_trees_equal_size(self):
         ua_tree, to_tree, cmap = self.build(d1s1_problem([1, 2]), 2)
         assert all(n.plan.is_total for n in ua_tree.nodes)

@@ -13,8 +13,10 @@ from planlab.model import (
     Plan,
     Problem,
     Step,
+    equivalent,
     initial_plan,
     make_op,
+    restrict,
 )
 from planlab.planners import make_planner
 from planlab.truth import (
@@ -342,3 +344,8 @@ class TestCompactness:
         plan = chain_plan(prob, ["o1", "o2"])
         assert is_solution_plan(plan)
         assert is_compact_solution(plan)
+
+    def test_initial_plan_subplan_of_solutions(self, tiny_problem):
+        root = initial_plan(tiny_problem)
+        solution = chain_plan(tiny_problem, ["win"])
+        assert equivalent(root, restrict(solution, root.labels))
