@@ -9,7 +9,10 @@ how a child is ordered and which goals count as open:
   3. operator selection  (library operators that add the selected goal)
   4. ordering selection  (planner specific, instrumented): each child
                          plan, built once by ``model.extend``
-  5. goal updating       (the child's open goals, instrumented)
+  5. goal updating       (the child's open goals, lazy): ``children`` only
+                         counts its cost; the goals are computed on the
+                         first ``goal_set`` call, when a search visits or
+                         rates the child
 
 Planner kinds and their ordering stages:
 
@@ -31,7 +34,9 @@ Planner kinds and their ordering stages:
 Every child carries a ``ChildCost``: ``step4_edge_visits`` counts
 graph-edge traversals during ordering selection and ``step5_visits``
 counts node and edge touches during goal updating, so growth shapes can
-be checked against the plan's edge count.
+be checked against the plan's edge count.  Step-5 touches depend only on
+the child's size, never on which goals are open, so they are counted
+without computing the goals.
 """
 
 from __future__ import annotations
@@ -165,14 +170,18 @@ class Planner:
         hit = self._goal_cache.get(plan)
         if hit is not None:
             return hit
-        goals = self._compute_goals(plan)[0]
+        goals = self._compute_goals(plan)
         self._goal_cache[plan] = goals
         return goals
 
     def is_solution(self, plan: Plan) -> bool:
         return not self.goal_set(plan)
 
-    def _compute_goals(self, plan: Plan) -> tuple[tuple[GoalEntry, ...], int]:
+    def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
+        raise NotImplementedError
+
+    def _goal_visits(self, plan: Plan) -> int:
+        """Step-5 cost of computing `plan`'s goals."""
         raise NotImplementedError
 
     def select_goal(self, plan: Plan, goals: tuple[GoalEntry, ...]) -> GoalEntry:
@@ -193,9 +202,8 @@ class Planner:
         costs: list[ChildCost] = []
         for cand, visits4 in self._ordering_candidates(plan, goal):
             for child in self._role_branches(cand):
-                self._goal_cache[child], visits5 = self._compute_goals(child)
                 children.append(child)
-                costs.append(ChildCost(visits4, visits5))
+                costs.append(ChildCost(visits4, self._goal_visits(child)))
         return ExtensionResult(tuple(children), tuple(costs))
 
     def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
@@ -226,9 +234,11 @@ class TotalOrderPlanner(Planner):
 
     kind = "to"
 
-    def _compute_goals(self, plan: Plan) -> tuple[tuple[GoalEntry, ...], int]:
-        seq = plan.sequence
-        return tuple(false_in_sequence(plan, seq)), len(seq)
+    def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
+        return tuple(false_in_sequence(plan, plan.sequence))
+
+    def _goal_visits(self, plan: Plan) -> int:
+        return len(plan.steps)
 
     def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
         c, needer = goal.condition, goal.needer
@@ -259,17 +269,19 @@ class UnambiguousPlanner(Planner):
 
     kind = "ua"
 
-    def _compute_goals(self, plan: Plan) -> tuple[tuple[GoalEntry, ...], int]:
+    def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
         # Valid because every plan this planner touches is unambiguous:
-        # one linearization decides necessary falsehood.
-        visits = len(plan.order) + 2 * len(plan.steps)
-        return tuple(false_in_sequence(plan, plan.linear_order)), visits
-
-    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
-        # A plan this planner derived is unambiguous by construction, and so
-        # is the two-step root; only a plan handed in from outside is checked.
+        # one linearization decides necessary falsehood.  A plan this planner
+        # derived is unambiguous by construction, and so is the two-step
+        # root; only a plan handed in from outside is checked.
         if plan.parent is None and plan.length > 0 and not is_unambiguous(plan):
             raise ValueError(f"the {self.kind} planner requires an unambiguous plan")
+        return tuple(false_in_sequence(plan, plan.linear_order))
+
+    def _goal_visits(self, plan: Plan) -> int:
+        return len(plan.order) + 2 * len(plan.steps)
+
+    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
         c, needer = goal.condition, goal.needer
         deleter = last_deleter(plan, c, needer)
         label = fresh_label(plan)
@@ -405,14 +417,16 @@ class ModalTruthPlanner(Planner):
 
     kind = "mt"
 
-    def _compute_goals(self, plan: Plan) -> tuple[tuple[GoalEntry, ...], int]:
-        out = []
-        visits = 0
-        for e in precondition_entries(plan):
-            visits += len(plan.order)
-            if modal_status(plan, e.needer, e.condition) is not ModalStatus.NECESSARILY_TRUE:
-                out.append(e)
-        return tuple(out), visits
+    def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
+        return tuple(
+            e
+            for e in precondition_entries(plan)
+            if modal_status(plan, e.needer, e.condition) is not ModalStatus.NECESSARILY_TRUE
+        )
+
+    def _goal_visits(self, plan: Plan) -> int:
+        # one modal-truth query per precondition entry
+        return sum(len(s.pre) for s in plan.steps) * len(plan.order)
 
     def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
         c, needer = goal.condition, goal.needer

@@ -7,6 +7,16 @@ counters.  The min-goals heuristic rates a child by how many open goals
 it has; ranking sorts children by rating (ties keep their shuffled
 order), pruning keeps only the best-rated children, and the weighted
 variant biases random descent by 1/(1+rating).
+
+Iterative sampling and iterative broadening revisit the same nodes: every
+probe or pass restarts at the run's one root.  They keep an extension memo
+for the run, so each plan is extended once; only computation is cached,
+so the probes' choices, the RNG calls and the counters are those of a
+memoryless search.  Nodes at the last expandable depth are not memoised:
+their children are all leaves, and holding them would dominate memory.
+The memo holds at most one entry per expanded node, so the node ceiling
+bounds it, and it dies with the run.  Breadth-first and depth-first
+search visit each node once and keep no memo.
 """
 
 from __future__ import annotations
@@ -100,14 +110,26 @@ def rank_children(
     return kids  # min_goals_weight applies at choice time, not here
 
 
+_Memo = dict[Plan, ExtensionResult]
+
+
 def _expand(
-    planner: Planner, plan: Plan, depth: int, cfg: StrategyConfig, tally: _Tally
+    planner: Planner,
+    plan: Plan,
+    depth: int,
+    cfg: StrategyConfig,
+    tally: _Tally,
+    memo: Optional[_Memo] = None,
 ) -> Optional[ExtensionResult]:
     """Visit `plan`: its children, or None at a counted leaf (a solution,
-    the depth limit or a dead end)."""
+    the depth limit or a dead end).  With a `memo`, a plan above the last
+    expandable depth is extended at most once."""
     tally.visit(depth)
     if depth < cfg.depth_limit and not planner.is_solution(plan):
-        result = planner.children(plan)
+        if memo is None or depth == cfg.depth_limit - 1:
+            result = planner.children(plan)
+        elif (result := memo.get(plan)) is None:
+            result = memo[plan] = planner.children(plan)
         if result.children:
             return result
     tally.leaves += 1
@@ -139,14 +161,15 @@ def _descend(
     rng: random.Random,
     cutoff: Optional[int],
     tally: _Tally,
+    memo: Optional[_Memo] = None,
 ) -> Optional[Plan]:
-    result = _expand(planner, plan, depth, cfg, tally)
+    result = _expand(planner, plan, depth, cfg, tally, memo)
     if result is None:
         return plan if planner.is_solution(plan) else None
     kids = rank_children(planner, result, cfg.heuristic, rng)
     tally.max_width = max(tally.max_width, len(kids))
     for child in kids[:cutoff]:
-        found = _descend(planner, child, depth + 1, cfg, rng, cutoff, tally)
+        found = _descend(planner, child, depth + 1, cfg, rng, cutoff, tally, memo)
         if found is not None:
             return found
     return None
@@ -163,13 +186,16 @@ def dfs(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
 
 
 def iterative_sampling(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
-    """Memoryless random root-to-leaf probes until a solution leaf."""
+    """Random root-to-leaf probes, memoryless in their choices, until a
+    solution leaf."""
     start = time.perf_counter()
     tally = _Tally(cfg.depth_limit, cfg.node_ceiling)
     rng = random.Random(cfg.seed)
+    root = planner.root()
+    memo: _Memo = {}
     for iteration in range(1, cfg.max_iterations + 1):
-        plan, depth = planner.root(), 0
-        while (result := _expand(planner, plan, depth, cfg, tally)) is not None:
+        plan, depth = root, 0
+        while (result := _expand(planner, plan, depth, cfg, tally, memo)) is not None:
             plan = _pick(planner, result, cfg.heuristic, rng)
             depth += 1
         if planner.is_solution(plan):
@@ -199,11 +225,13 @@ def iterative_broadening(planner: Planner, cfg: StrategyConfig) -> SearchOutcome
     """
     start = time.perf_counter()
     tally = _Tally(cfg.depth_limit, cfg.node_ceiling)
+    root = planner.root()
+    memo: _Memo = {}
     cutoff = 1
     while True:
         rng = random.Random(cfg.seed)
         tally.max_width = 0
-        found = _descend(planner, planner.root(), 0, cfg, rng, cutoff, tally)
+        found = _descend(planner, root, 0, cfg, rng, cutoff, tally, memo)
         if found is not None:
             return _outcome(True, found, tally, start, cfg.seed, final_cutoff=cutoff)
         if cutoff >= tally.max_width:

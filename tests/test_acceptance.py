@@ -21,7 +21,6 @@ from planlab.model import (
     Plan,
     Step,
     equivalent,
-    linear_extensions,
 )
 from planlab.oracle import minimal_solution_length
 from planlab.planners import PlannerConfig, make_planner

@@ -17,7 +17,6 @@ from planlab.cli import (
     ExperimentConfig,
     main,
     run_experiment,
-    summarize_experiment,
 )
 from planlab import cli
 from planlab.domains import d1s1_problem, fixture, serialize_problem

@@ -3,15 +3,7 @@ from __future__ import annotations
 import pytest
 
 from planlab.domains import fixture
-from planlab.model import (
-    FINAL_STEP,
-    INIT_STEP,
-    Plan,
-    Problem,
-    Step,
-    linear_extensions,
-    make_op,
-)
+from planlab.model import Problem, make_op
 from planlab.planners import make_planner
 from planlab.trees import enumerate_tree, sibling_overlap_violations
 from planlab.truth import is_unambiguous_brute

@@ -24,8 +24,11 @@ from planlab.planners import (
 from planlab.trees import enumerate_tree
 from planlab.truth import (
     GoalEntry,
+    ModalStatus,
     is_unambiguous_brute,
     last_deleter,
+    modal_status,
+    precondition_entries,
     steps_interact,
 )
 
@@ -221,10 +224,14 @@ class TestUnambiguousChildren:
                 {(INIT_STEP, FINAL_STEP), (INIT_STEP, 2), (2, FINAL_STEP), (INIT_STEP, 3), (3, FINAL_STEP)}
             ),
         )
+        assert modal_status(plan, FINAL_STEP, "p") is ModalStatus.AMBIGUOUS
         prob = Problem("amb", frozenset(["p"]), frozenset(["p", "q"]), (make_op("q_op", adds=["q"]),))
         for kind in ("ua", "uac"):
-            with pytest.raises(ValueError, match="requires an unambiguous plan"):
-                make_planner(kind, prob).children(plan)
+            planner = make_planner(kind, prob)
+            # every entry refuses alike, the goal queries included
+            for entry in (planner.goal_set, planner.is_solution, planner.children):
+                with pytest.raises(ValueError, match="requires an unambiguous plan"):
+                    entry(plan)
 
 
 class TestExtensionCharacterizations:
@@ -439,6 +446,35 @@ class TestCounters:
         planner = make_planner("to", tiny_problem)
         result = planner.children(planner.root())
         assert len(result.costs) == len(result.children) > 0
+
+    @pytest.mark.parametrize("name", ["fig9", "fig13", "fig17"])
+    @pytest.mark.parametrize("kind", ["to", "ua", "toc", "uac", "mt"])
+    def test_step5_visits_per_kind(self, name, kind):
+        def expected(plan):
+            if kind in ("to", "toc"):
+                return len(plan.steps)
+            if kind in ("ua", "uac"):
+                return len(plan.order) + 2 * len(plan.steps)
+            return len(precondition_entries(plan)) * len(plan.order)
+
+        tree = enumerate_tree(make_planner(kind, fixture(name)), 5)
+        costs = [(n.cost.step5_visits, expected(n.plan)) for n in tree.nodes if n.cost is not None]
+        assert costs and all(got == want for got, want in costs)
+
+
+class TestLazyGoals:
+    @pytest.mark.parametrize("kind", ["to", "ua", "toc", "uac", "mt"])
+    def test_children_leave_goals_uncomputed(self, kind):
+        planner = make_planner(kind, fixture("fig17"))
+        plan = planner.root()
+        for _ in range(3):
+            result = planner.children(plan)
+            assert result.children
+            assert not any(child in planner._goal_cache for child in result.children)
+            plan = result.children[-1]
+        # the first read computes and caches the goals
+        goals = planner.goal_set(plan)
+        assert planner._goal_cache[plan] is goals
 
 
 class TestGoalSelection:

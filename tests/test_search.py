@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import gc
+from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
-from planlab.domains import d1s1_problem, fixture
+from planlab.domains import d1s1_problem, fixture, standard_suite
 from planlab.model import Problem, make_op
 from planlab.planners import PlannerConfig, make_planner
 from planlab.search import (
     HEURISTICS,
     STRATEGIES,
-    SearchOutcome,
     StrategyConfig,
     bfs,
     dfs,
@@ -221,6 +223,82 @@ class TestIterativeBroadening:
             StrategyConfig(strategy="ibroad", depth_limit=2, seed=4),
         )
         assert out.solved and out.solution_length == 2
+
+
+@lru_cache(maxsize=None)
+def suite_problems():
+    return {problem.name: (length, problem) for length, problem in standard_suite()}
+
+
+# (problem, planner, strategy, heuristic, nodes_expanded, leaves_visited,
+#  per_level_counts, iterations or final_cutoff, solution length) at seed 1
+# with depth limit = the problem's length class, recorded before the memo.
+MEMO_CASES = [
+    ("blocks4_seed6", "to", "isamp", "none", 308, 77, (77, 77, 77, 77), 77, 3),
+    ("blocks4_seed6", "to", "ibroad", "none", 12, 5, (2, 2, 3, 5), 2, 3),
+    ("blocks4_seed6", "to", "isamp", "min_goals_weight", 224, 56, (56, 56, 56, 56), 56, 3),
+    ("blocks4_seed6", "ua", "isamp", "none", 1176, 294, (294, 294, 294, 294), 294, 3),
+    ("blocks4_seed6", "ua", "ibroad", "none", 226, 164, (6, 13, 43, 164), 6, 3),
+    ("blocks4_seed6", "ua", "isamp", "min_goals_weight", 224, 56, (56, 56, 56, 56), 56, 3),
+    ("blocks4_seed42", "to", "isamp", "none", 184, 46, (46, 46, 46, 46), 46, 3),
+    ("blocks4_seed42", "to", "ibroad", "none", 37, 20, (3, 5, 9, 20), 3, 3),
+    ("blocks4_seed42", "to", "isamp", "min_goals_weight", 52, 13, (13, 13, 13, 13), 13, 3),
+    ("blocks4_seed42", "ua", "isamp", "none", 76, 19, (19, 19, 19, 19), 19, 3),
+    ("blocks4_seed42", "ua", "ibroad", "none", 145, 100, (5, 11, 29, 100), 5, 3),
+    ("blocks4_seed42", "ua", "isamp", "min_goals_weight", 52, 13, (13, 13, 13, 13), 13, 3),
+]
+
+
+def memo_run(case, spy=None):
+    name, kind, strategy, heuristic = case[:4]
+    length, problem = suite_problems()[name]
+    planner = make_planner(kind, problem, PlannerConfig("seeded", 1))
+    if spy is not None:
+        extend = planner.children
+
+        def children(plan):
+            spy.append(plan)  # held, so identities stay unique for the run
+            return extend(plan)
+
+        planner.children = children
+    cfg = StrategyConfig(strategy=strategy, heuristic=heuristic, depth_limit=length, seed=1)
+    return planner, cfg, run_search(planner, cfg)
+
+
+class TestExtensionMemo:
+    """isamp and ibroad extend every plan above the last expandable depth
+    once per run, and report the counters of a memoryless search."""
+
+    @pytest.mark.parametrize("case", MEMO_CASES, ids=lambda c: "-".join(c[:4]))
+    def test_counters_unchanged(self, case):
+        out = memo_run(case)[2]
+        progress = out.iterations if out.iterations is not None else out.final_cutoff
+        assert (
+            out.nodes_expanded,
+            out.leaves_visited,
+            out.per_level_counts,
+            progress,
+            out.solution_length,
+        ) == case[4:]
+
+    @pytest.mark.parametrize("case", MEMO_CASES, ids=lambda c: "-".join(c[:4]))
+    def test_each_plan_extended_once(self, case):
+        extended = []
+        cfg = memo_run(case, extended)[1]
+        memoised = Counter(id(plan) for plan in extended if plan.depth < cfg.depth_limit - 1)
+        assert memoised and max(memoised.values()) == 1
+        assert sum(plan.depth == 0 for plan in extended) == 1  # one root per run
+
+    @pytest.mark.parametrize("case", MEMO_CASES, ids=lambda c: "-".join(c[:4]))
+    def test_run_leaves_only_the_solution_chain(self, case):
+        planner, _, out = memo_run(case)
+        gc.collect()
+        chain = set()
+        plan = out.solution
+        while plan is not None:
+            chain.add(id(plan))
+            plan = plan.parent
+        assert {id(plan) for plan in planner._goal_cache.keys()} == chain
 
 
 class TestMinGoals:

@@ -5,10 +5,9 @@ import json
 import pytest
 
 from planlab.domains import d1s1_problem, fixture
-from planlab.model import Problem, initial_plan, linear_extensions, make_op
+from planlab.model import Problem, initial_plan, linear_extensions
 from planlab.planners import make_planner
 from planlab.trees import (
-    Clustering,
     SearchNode,
     SearchTree,
     TreeCeilingError,

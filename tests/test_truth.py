@@ -15,7 +15,6 @@ from planlab.model import (
     Step,
     equivalent,
     initial_plan,
-    make_op,
     restrict,
 )
 from planlab.planners import make_planner
