@@ -252,7 +252,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown planner {p!r}")
         for s in self.strategies:
             for h in self.heuristics:
-                StrategyConfig(strategy=s, heuristic=h, trials=self.trials)
+                StrategyConfig(
+                    strategy=s, heuristic=h, trials=self.trials, max_iterations=self.max_iterations
+                )
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 

@@ -21,6 +21,11 @@ Planner kinds and their ordering stages:
 ``ua``   partially ordered, unambiguity-preserving; the new step is placed
          after the last deleter and before the needing step, then every
          step that interacts with it is ordered against it, both ways.
+         The per-goal context (the base edges, the base child's adjacency,
+         derived from the parent's, and the steps those edges already
+         order against the new step) is computed once per goal and shared
+         by every adder instance; each child gets that adjacency plus its
+         own interaction edges, so it never rebuilds it from its edge set.
 ``toc``/``uac``  the conditional-effect variants: operator selection also
          instantiates specialized copies of operators that conditionally
          add the goal, interaction detection widens to dependency
@@ -127,6 +132,23 @@ class ExtensionResult:
 class PlannerConfig:
     goal_selection: str = "deterministic"  # or "seeded"
     seed: int = 0
+
+
+def _add_edges(
+    preds: dict[int, tuple[int, ...]],
+    succs: dict[int, tuple[int, ...]],
+    edges: Iterable[tuple[int, int]],
+) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """The adjacency `preds`/`succs` (sorted neighbour tuples, as
+    ``Plan.predecessors``/``Plan.successors`` hold them) plus `edges`, none
+    of which may be present yet; shared as is when there are none."""
+    if not edges:
+        return preds, succs
+    preds, succs = dict(preds), dict(succs)
+    for a, b in edges:
+        succs[a] = tuple(sorted(succs[a] + (b,)))
+        preds[b] = tuple(sorted(preds[b] + (a,)))
+    return preds, succs
 
 
 def _spread(marks: set[int], start: int, adj: dict[int, Sequence[int]]) -> int:
@@ -265,7 +287,15 @@ class TotalOrderPlanner(Planner):
 class UnambiguousPlanner(Planner):
     """Key ``ua``: partial orders in which every precondition is either
     necessarily true or necessarily false, maintained by ordering every
-    step that interacts with the newcomer."""
+    step that interacts with the newcomer.
+
+    The ordering stage computes the per-goal context once and shares it
+    with every adder instance: the base edges (last deleter, needer and
+    sentinels), their adjacency, the steps they already order against the
+    newcomer and the step-4 visits spent finding them.  Only the
+    interaction check and the branching over interacting steps are per
+    instance.
+    """
 
     kind = "ua"
 
@@ -285,60 +315,58 @@ class UnambiguousPlanner(Planner):
         c, needer = goal.condition, goal.needer
         deleter = last_deleter(plan, c, needer)
         label = fresh_label(plan)
-        out: list[tuple[Plan, int]] = []
-        for new_step in self._adder_instances(c, label):
-            out.extend(self._resolve_interactions(plan, new_step, deleter, needer))
-        return out
-
-    def _resolve_interactions(
-        self, plan: Plan, new_step: Step, deleter: int, needer: int
-    ) -> list[tuple[Plan, int]]:
-        label = new_step.label
-        base = {
-            (deleter, label),
-            (label, needer),
-            (INIT_STEP, label),
-            (label, FINAL_STEP),
-        }
-        child = extend(plan, new_step, base)
-        preds, succs = child.predecessors, child.successors
-
+        instances = self._adder_instances(c, label)
+        if not instances:
+            return []
+        # The base edges, the base child's adjacency, the steps they order
+        # against the newcomer and the cost of finding them depend only on
+        # the goal and the fresh label: every adder instance shares them.
+        base = frozenset(
+            {(deleter, label), (label, needer), (INIT_STEP, label), (label, FINAL_STEP)}
+        )
+        preds, succs = _add_edges(
+            {**plan.predecessors, label: ()}, {**plan.successors, label: ()}, base
+        )
         before: set[int] = set()
         after: set[int] = set()
         visits = _spread(before, label, preds) + _spread(after, label, succs)
-        visits += len(child.steps)  # scan for unlabeled interacting steps
+        visits += len(plan.steps) + 1  # scan for unlabeled interacting steps
+        unordered = [lab for lab in plan.labels if lab not in before and lab not in after]
         mode = "conditional" if self.conditional else "basic"
-        cands = sorted(
-            lab
-            for lab in plan.labels
-            if lab not in before
-            and lab not in after
-            and steps_interact(plan.by_label[lab], new_step, mode)
-        )
-
         out: list[tuple[Plan, int]] = []
+        for new_step in instances:
+            cands = sorted(
+                lab for lab in unordered if steps_interact(plan.by_label[lab], new_step, mode)
+            )
 
-        def branch(
-            idx: int,
-            before: set[int],
-            after: set[int],
-            extra: frozenset[tuple[int, int]],
-            visits: int,
-        ) -> None:
-            while idx < len(cands) and (cands[idx] in before or cands[idx] in after):
-                idx += 1
-            if idx == len(cands):
-                out.append((extend(plan, new_step, base | extra) if extra else child, visits))
-                return
-            s = cands[idx]
-            nb = set(before)
-            cost_b = _spread(nb, s, preds)
-            branch(idx + 1, nb, after, extra | {(s, label)}, visits + cost_b)
-            na = set(after)
-            cost_a = _spread(na, s, succs)
-            branch(idx + 1, before, na, extra | {(label, s)}, visits + cost_a)
+            # One child per way of ordering every candidate before or after the
+            # new step.  Walks read the base adjacency; a child gets it plus its
+            # own edges, which all touch the new step.
+            def branch(
+                idx: int,
+                before: set[int],
+                after: set[int],
+                extra: frozenset[tuple[int, int]],
+                visits: int,
+            ) -> None:
+                while idx < len(cands) and (cands[idx] in before or cands[idx] in after):
+                    idx += 1
+                if idx == len(cands):
+                    child = extend(plan, new_step, base | extra)
+                    adj_pred, adj_succ = _add_edges(preds, succs, extra)
+                    child.__dict__["predecessors"] = adj_pred
+                    child.__dict__["successors"] = adj_succ
+                    out.append((child, visits))
+                    return
+                s = cands[idx]
+                nb = set(before)
+                cost_b = _spread(nb, s, preds)
+                branch(idx + 1, nb, after, extra | {(s, label)}, visits + cost_b)
+                na = set(after)
+                cost_a = _spread(na, s, succs)
+                branch(idx + 1, before, na, extra | {(label, s)}, visits + cost_a)
 
-        branch(0, before, after, frozenset(), visits)
+            branch(0, before, after, frozenset(), visits)
         return out
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .model import Plan
 from .planners import ExtensionResult, Planner
@@ -62,6 +62,8 @@ class StrategyConfig:
             raise ValueError(f"strategy {self.strategy!r} ignores heuristic {self.heuristic!r}")
         if self.depth_limit < 0 or self.trials < 1:
             raise ValueError("depth_limit must be >= 0 and trials >= 1")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, not {self.max_iterations}")
         if self.node_ceiling is not None and self.node_ceiling < 1:
             raise ValueError("node_ceiling must be >= 1")
 
@@ -155,24 +157,32 @@ def bfs(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
 
 def _descend(
     planner: Planner,
-    plan: Plan,
-    depth: int,
+    root: Plan,
     cfg: StrategyConfig,
     rng: random.Random,
     cutoff: Optional[int],
     tally: _Tally,
     memo: Optional[_Memo] = None,
 ) -> Optional[Plan]:
-    result = _expand(planner, plan, depth, cfg, tally, memo)
-    if result is None:
-        return plan if planner.is_solution(plan) else None
-    kids = rank_children(planner, result, cfg.heuristic, rng)
-    tally.max_width = max(tally.max_width, len(kids))
-    for child in kids[:cutoff]:
-        found = _descend(planner, child, depth + 1, cfg, rng, cutoff, tally, memo)
-        if found is not None:
-            return found
-    return None
+    """Depth-first from `root`, trying at most `cutoff` ranked children per
+    node; the first solution leaf visited, else None.  The walk keeps its
+    own stack, so the depth limit is not bounded by Python's recursion
+    limit."""
+    pending: list[Iterator[Plan]] = []  # untried children per open depth
+    plan = root
+    while True:
+        result = _expand(planner, plan, len(pending), cfg, tally, memo)
+        if result is None:
+            if planner.is_solution(plan):
+                return plan
+        else:
+            kids = rank_children(planner, result, cfg.heuristic, rng)
+            tally.max_width = max(tally.max_width, len(kids))
+            pending.append(iter(kids[:cutoff]))
+        while pending and (plan := next(pending[-1], None)) is None:
+            pending.pop()
+        if not pending:
+            return None
 
 
 def dfs(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
@@ -181,7 +191,7 @@ def dfs(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
     start = time.perf_counter()
     tally = _Tally(cfg.depth_limit, cfg.node_ceiling)
     rng = random.Random(cfg.seed)
-    found = _descend(planner, planner.root(), 0, cfg, rng, None, tally)
+    found = _descend(planner, planner.root(), cfg, rng, None, tally)
     return _outcome(found is not None, found, tally, start, cfg.seed)
 
 
@@ -231,7 +241,7 @@ def iterative_broadening(planner: Planner, cfg: StrategyConfig) -> SearchOutcome
     while True:
         rng = random.Random(cfg.seed)
         tally.max_width = 0
-        found = _descend(planner, root, 0, cfg, rng, cutoff, tally, memo)
+        found = _descend(planner, root, cfg, rng, cutoff, tally, memo)
         if found is not None:
             return _outcome(True, found, tally, start, cfg.seed, final_cutoff=cutoff)
         if cutoff >= tally.max_width:

@@ -115,13 +115,21 @@ def enumerate_tree(
         problem=planner.problem, planner_kind=planner.kind, depth_limit=depth_limit
     )
 
-    def visit(plan: Plan, parent_id: Optional[int], depth: int, cost: Optional[ChildCost]) -> int:
+    # An explicit stack instead of recursion, so the depth limit is not
+    # bounded by Python's recursion limit; popping children in order keeps
+    # the preorder ids and the order of planner calls.
+    stack: list[tuple[Plan, Optional[SearchNode], Optional[ChildCost]]] = [
+        (planner.root(), None, None)
+    ]
+    while stack:
+        plan, parent, cost = stack.pop()
+        depth = 0 if parent is None else parent.depth + 1
         node_id = tally.nodes
         tally.visit(depth)
         goals = planner.goal_set(plan)
         node = SearchNode(
             id=node_id,
-            parent_id=parent_id,
+            parent_id=None if parent is None else parent.id,
             plan=plan,
             depth=depth,
             goals=goals,
@@ -130,17 +138,13 @@ def enumerate_tree(
             cost=cost,
         )
         tree.nodes.append(node)
+        if parent is not None:
+            parent.children_ids += (node_id,)
         if goals and depth < depth_limit:
             result = planner.children(plan)
-            kid_ids = [
-                visit(child, node_id, depth + 1, child_cost)
-                for child, child_cost in zip(result.children, result.costs)
-            ]
-            node.children_ids = tuple(kid_ids)
-            node.is_dead_end = not kid_ids
-        return node_id
-
-    visit(planner.root(), None, 0, None)
+            node.is_dead_end = not result.children
+            kids = list(zip(result.children, result.costs))
+            stack.extend((child, node, child_cost) for child, child_cost in reversed(kids))
     return tree
 
 

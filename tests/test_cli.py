@@ -39,6 +39,20 @@ def unsolvable_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def loop_file(tmp_path):
+    """Each operator needs what the other adds, so the one derivation is a
+    chain as deep as the depth limit and never solves."""
+    text = (
+        "problem loop\ninit:\ngoal: g\n"
+        "operator o1\n  pre: h\n  add: g\n  del:\nend\n"
+        "operator o2\n  pre: g\n  add: h\n  del:\nend\n"
+    )
+    path = tmp_path / "loop.plan"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 class TestSolve:
     def test_sussman_ua_bfs(self, sussman_file, capsys):
         code = main(["solve", sussman_file, "--planner", "ua", "--strategy", "bfs"])
@@ -80,6 +94,12 @@ class TestSolve:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: depth_limit must be >= 0 and trials >= 1\n"
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_nonpositive_max_iterations_refused(self, capsys, raw):
+        code = main(["solve", "fixture:sussman", "--strategy", "isamp", "--max-iterations", raw])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: max_iterations must be >= 1, not {raw}\n")
 
     def test_heuristic_the_strategy_ignores_refused(self, capsys):
         code = main(["solve", "fixture:fig9", "--strategy", "bfs", "--heuristic", "min_goals_rank"])
@@ -162,6 +182,29 @@ class TestCeilings:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: depth limit must be >= 0, not '-1'\n"
+
+    def test_deep_verify_stops_at_the_plan_size_ceiling(self, loop_file, capsys):
+        assert main(["verify", loop_file, "--depth-limit", "500"]) == EXIT_CEILING
+        out, err = capsys.readouterr()
+        assert out == "|tree_ua| = 501  |tree_to| = 501\n"
+        assert err == "error: linearization check refused: plan has 33 steps, ceiling is 32\n"
+
+    def test_deep_dump_tree(self, loop_file, tmp_path, capsys):
+        out = tmp_path / "tree.json"
+        code = main(["dump-tree", loop_file, "--depth-limit", "500", "--output", str(out)])
+        assert code == EXIT_OK
+        nodes = json.loads(out.read_text())
+        assert [n["id"] for n in nodes] == list(range(501))
+        assert [n["parent"] for n in nodes] == [None, *range(500)]
+        assert len(nodes[-1]["operator_sequence"]) == 500
+
+    @pytest.mark.parametrize("strategy", ["dfs", "ibroad"])
+    def test_deep_depth_first_search(self, loop_file, capsys, strategy):
+        code = main(["solve", loop_file, "--strategy", strategy, "--depth-limit", "1000"])
+        assert code == EXIT_UNSOLVED
+        out, err = capsys.readouterr()
+        assert "nodes expanded: 1001  leaves: 1\n" in out
+        assert err == ""
 
     def test_environment_ceiling_honoured(self, sussman_file, monkeypatch):
         monkeypatch.setenv("PLANLAB_NODE_CEILING", "5")
@@ -254,6 +297,13 @@ class TestExperiment:
         cfg = self.write_config(tmp_path, strategies="dfs,isamp", heuristics="none,min_goals_rank")
         assert main(["experiment", cfg]) == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: strategy 'isamp' ignores heuristic 'min_goals_rank'\n")
+        assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_nonpositive_max_iterations_refused(self, tmp_path, capsys, raw):
+        cfg = self.write_config(tmp_path, strategies="isamp", max_iterations=raw)
+        assert main(["experiment", cfg]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: max_iterations must be >= 1, not {raw}\n")
         assert not (tmp_path / "rows.csv").exists()
 
     @pytest.mark.parametrize("key", ["problems", "planners", "strategies", "heuristics"])

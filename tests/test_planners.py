@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from planlab.domains import d1s1_problem, fixture
+from planlab.domains import d1s1_problem, fixture, standard_suite
 from planlab.model import (
     FINAL_STEP,
     INIT_STEP,
@@ -33,6 +34,14 @@ from planlab.truth import (
 )
 
 from conftest import chain_plan, linearization_plans
+
+
+def named_problem(name: str) -> Problem:
+    """A fixture, or a standard-suite problem by name."""
+    for _, problem in standard_suite():
+        if problem.name == name:
+            return problem
+    return fixture(name)
 
 
 def find_node(tree, middle_names, require_goals=True):
@@ -462,6 +471,31 @@ class TestCounters:
         assert costs and all(got == want for got, want in costs)
 
 
+# (problem, kind, depth, children, sum, sha256 prefix of the repr of the
+# preorder list of ChildCost.step4_edge_visits), recorded while every adder
+# instance of a goal still rebuilt the shared ordering context itself.
+STEP4_PINS = [
+    ("fig9", "ua", 5, 5, 45, "b52720e8212258ff"),
+    ("fig9", "uac", 5, 5, 45, "b52720e8212258ff"),
+    ("fig13", "ua", 5, 2, 11, "8050091b38c975da"),
+    ("fig13", "uac", 5, 21, 204, "7cf1ee51e743e4d1"),
+    ("fig17", "ua", 5, 81, 1295, "d49b3d279898eeb5"),
+    ("fig17", "uac", 5, 81, 1295, "d49b3d279898eeb5"),
+    ("sussman", "ua", 5, 1007, 16650, "ad3fe7ea22cbc001"),
+    ("sussman", "uac", 5, 1007, 16650, "ad3fe7ea22cbc001"),
+    ("blocks4_seed11", "ua", 3, 145, 1303, "a959d1dd4869b980"),
+]
+
+
+class TestStep4Pins:
+    @pytest.mark.parametrize("name, kind, depth, count, total, digest", STEP4_PINS)
+    def test_ua_step4_visits_pinned(self, name, kind, depth, count, total, digest):
+        tree = enumerate_tree(make_planner(kind, named_problem(name)), depth)
+        visits = [n.cost.step4_edge_visits for n in tree.nodes if n.cost is not None]
+        got = (len(visits), sum(visits), hashlib.sha256(repr(visits).encode()).hexdigest()[:16])
+        assert got == (count, total, digest)
+
+
 class TestLazyGoals:
     @pytest.mark.parametrize("kind", ["to", "ua", "toc", "uac", "mt"])
     def test_children_leave_goals_uncomputed(self, kind):
@@ -503,12 +537,17 @@ class TestGoalSelection:
 
 
 class TestChildPlans:
-    """A child's preset or inherited order caches (``to`` chains, role
-    variants) must equal what a freshly built plan computes."""
+    """A child's preset or inherited order caches (``to`` chains, ``ua``
+    adjacency, role variants) must equal what a freshly built plan
+    computes."""
 
     @pytest.mark.parametrize(
         "name, kind, depth",
         [
+            ("fig9", "ua", 5),
+            # several adder instances per goal with interacting candidates,
+            # at its oracle depth
+            ("blocks4_seed11", "ua", 3),
             ("fig13", "uac", 4),
             ("fig13", "toc", 4),
             ("fig17", "mt", 5),
@@ -518,10 +557,12 @@ class TestChildPlans:
         ],
     )
     def test_every_node_matches_a_fresh_plan(self, name, kind, depth):
-        tree = enumerate_tree(make_planner(kind, fixture(name)), depth)
+        tree = enumerate_tree(make_planner(kind, named_problem(name)), depth)
         for node in tree.nodes:
             plan = node.plan
             fresh = Plan(steps=plan.steps, order=plan.order)
+            assert plan.predecessors == fresh.predecessors
+            assert plan.successors == fresh.successors
             assert plan.linear_order == fresh.linear_order
             assert plan.is_total == fresh.is_total
             assert plan.after_sets == fresh.after_sets

@@ -391,6 +391,11 @@ class TestNodeCeiling:
         with pytest.raises(ValueError):
             StrategyConfig(node_ceiling=0)
 
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_max_iterations_must_be_positive(self, max_iterations):
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            StrategyConfig(strategy="isamp", max_iterations=max_iterations)
+
 
 class TestLeafSamplingEstimator:
     def test_single_solution_half_scan(self):
