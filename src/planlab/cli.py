@@ -9,8 +9,9 @@ Subcommands:
   gen         write problem files (single instances or the standard suite)
   dump-tree   enumerate one search tree and dump it as JSON
 
-Exit codes: 0 success, 1 unsolved or failed checks, 2 usage error,
-3 a ceiling exceeded (search nodes, oracle states or plan size).
+Exit codes: 0 success, 1 unsolved or failed checks, 2 usage error or a
+file that cannot be read or written, 3 a ceiling exceeded (search nodes,
+oracle states or plan size).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import csv
 import io
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -162,6 +162,8 @@ def _planner_config(args: argparse.Namespace, seed: Optional[int] = None) -> Pla
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.mt and args.conditional:
+        raise ValueError("--mt runs the mt/to diagnostic and cannot be combined with --conditional")
     problem = _load_problem(args.problem)
     depth = _resolve_depth(problem, args.depth_limit)
     ceiling = args.node_ceiling
@@ -477,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="enumerate and cross-check search trees")
     p_verify.add_argument("problem")
     p_verify.add_argument("--conditional", action="store_true", help="verify uac against toc")
-    p_verify.add_argument("--mt", action="store_true", help="run the deferred-planner redundancy diagnostic")
+    p_verify.add_argument("--mt", action="store_true", help="run the mt/to redundancy diagnostic (not with --conditional)")
     p_verify.add_argument("--dump-map", default="", help="write the correspondence map as JSON")
     add_common(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
@@ -514,7 +516,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TreeCeilingError, OracleCeilingError, PlanSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CEILING
-    except (FileNotFoundError, ValueError) as exc:  # ParseError is a ValueError
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,8 +7,11 @@ how a child is ordered and which goals count as open:
   1. termination check   (``children`` refuses solved plans)
   2. goal selection      (first open goal, or a seeded choice)
   3. operator selection  (library operators that add the selected goal)
-  4. ordering selection  (planner specific, instrumented): each child
-                         plan, built once by ``model.extend``
+  4. ordering selection  (planner specific, instrumented): one recipe
+                         per child; ``to`` and ``ua`` build a child plan
+                         with ``model.extend`` only when it is first
+                         indexed (``LazyChildren``), the other kinds build
+                         every child at once
   5. goal updating       (the child's open goals, lazy): ``children`` only
                          counts its cost; the goals are computed on the
                          first ``goal_set`` call, when a search visits or
@@ -24,13 +27,17 @@ Planner kinds and their ordering stages:
          The per-goal context (the base edges, the base child's adjacency,
          derived from the parent's, and the steps those edges already
          order against the new step) is computed once per goal and shared
-         by every adder instance; each child gets that adjacency plus its
-         own interaction edges, so it never rebuilds it from its edge set.
+         by every adder instance; a child's recipe is its new step and its
+         own interaction edges, and the built child gets the shared
+         adjacency plus those edges, so it never rebuilds it from its edge
+         set.
 ``toc``/``uac``  the conditional-effect variants: operator selection also
          instantiates specialized copies of operators that conditionally
          add the goal, interaction detection widens to dependency
          conditions and conditional effects, and a role-selection stage
-         branches on marking versus specializing usable conditional adds.
+         branches on marking versus specializing usable conditional adds;
+         it reads each candidate's closure, so these kinds build every
+         child.
 ``mt``   deferred ordering driven by exact modal truth: establishers may
          be existing steps or fresh instances, threats are resolved one at
          a time by demotion or white-knight protection, and children may
@@ -41,7 +48,9 @@ graph-edge traversals during ordering selection and ``step5_visits``
 counts node and edge touches during goal updating, so growth shapes can
 be checked against the plan's edge count.  Step-5 touches depend only on
 the child's size, never on which goals are open, so they are counted
-without computing the goals.
+without computing the goals, and for ``to`` and ``ua`` without building
+the child: it has one step more than its parent, and every new edge
+touches the new step, so none is in the parent's order already.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
     FINAL_STEP,
@@ -122,9 +131,58 @@ class ChildCost:
     step5_visits: int
 
 
+class LazyChildren(Sequence[Plan]):
+    """Child plans built from their recipes on first index.
+
+    A built child is kept, so every index of one result yields the same
+    plan object; a ``transient`` view builds a fresh child on every index
+    and keeps none."""
+
+    __slots__ = ("_build", "_recipes", "_plans")
+
+    def __init__(self, build: Callable[..., Plan], recipes: list[tuple], keep: bool = True):
+        self._build = build
+        self._recipes = recipes
+        self._plans: Optional[list[Optional[Plan]]] = [None] * len(recipes) if keep else None
+
+    def transient(self) -> "LazyChildren":
+        return LazyChildren(self._build, self._recipes, keep=False)
+
+    def __len__(self) -> int:
+        return len(self._recipes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        plans = self._plans
+        if plans is None:
+            return self._build(*self._recipes[i])
+        child = plans[i]
+        if child is None:
+            child = plans[i] = self._build(*self._recipes[i])
+        return child
+
+    def __iter__(self) -> Iterator[Plan]:
+        # Builds directly: the generic Sequence iterator costs an index
+        # call per child, which shows when every child is visited.
+        build, plans = self._build, self._plans
+        if plans is None:
+            for recipe in self._recipes:
+                yield build(*recipe)
+            return
+        for i, recipe in enumerate(self._recipes):
+            child = plans[i]
+            if child is None:
+                child = plans[i] = build(*recipe)
+            yield child
+
+
 @dataclass(frozen=True)
 class ExtensionResult:
-    children: tuple[Plan, ...]
+    """The children of one extension and their costs, index for index;
+    ``children`` is ``()`` when no operator establishes the goal."""
+
+    children: Sequence[Plan]
     costs: tuple[ChildCost, ...]
 
 
@@ -202,10 +260,6 @@ class Planner:
     def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
         raise NotImplementedError
 
-    def _goal_visits(self, plan: Plan) -> int:
-        """Step-5 cost of computing `plan`'s goals."""
-        raise NotImplementedError
-
     def select_goal(self, plan: Plan, goals: tuple[GoalEntry, ...]) -> GoalEntry:
         if self.config.goal_selection == "seeded":
             key = ",".join(f"{e.needer}:{e.condition}" for e in goals)
@@ -219,22 +273,12 @@ class Planner:
         goals = self.goal_set(plan)
         if not goals:
             raise ValueError("plan is already solved; nothing to extend")
-        goal = self.select_goal(plan, goals)
-        children: list[Plan] = []
-        costs: list[ChildCost] = []
-        for cand, visits4 in self._ordering_candidates(plan, goal):
-            for child in self._role_branches(cand):
-                children.append(child)
-                costs.append(ChildCost(visits4, self._goal_visits(child)))
-        return ExtensionResult(tuple(children), tuple(costs))
+        return self._extensions(plan, self.select_goal(plan, goals))
 
-    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
-        """(child plan, step-4 edge visits) for every ordering of a new
-        establishment of `goal`."""
+    def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
+        """Every child establishing `goal` in `plan` (stages 3-4), with its
+        step-4 and step-5 costs."""
         raise NotImplementedError
-
-    def _role_branches(self, cand: Plan) -> list[Plan]:
-        return [cand]
 
     # -- operator selection --------------------------------------------
 
@@ -259,29 +303,30 @@ class TotalOrderPlanner(Planner):
     def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
         return tuple(false_in_sequence(plan, plan.sequence))
 
-    def _goal_visits(self, plan: Plan) -> int:
-        return len(plan.steps)
-
-    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
+    def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
         c, needer = goal.condition, goal.needer
         seq = plan.sequence
         deleter = last_deleter(plan, c, needer)
         i, j = seq.index(deleter), seq.index(needer)
         label = fresh_label(plan)
-        out: list[tuple[Plan, int]] = []
-        for new_step in self._adder_instances(c, label):
-            for g in range(j - 1, i - 1, -1):  # positions from the needer backward
-                edges = {
-                    (seq[g], label),
-                    (label, seq[g + 1]),
-                    (INIT_STEP, label),
-                    (label, FINAL_STEP),
-                }
-                child = extend(plan, new_step, edges)
-                child.__dict__["linear_order"] = seq[: g + 1] + (label,) + seq[g + 1 :]
-                child.__dict__["is_total"] = True
-                out.append((child, 1))
-        return out
+        # A recipe is the new step and the position it follows.
+        recipes = [
+            (new_step, g)
+            for new_step in self._adder_instances(c, label)
+            for g in range(j - 1, i - 1, -1)  # positions from the needer backward
+        ]
+        if not recipes:
+            return ExtensionResult((), ())
+
+        def build(new_step: Step, g: int) -> Plan:
+            edges = {(seq[g], label), (label, seq[g + 1]), (INIT_STEP, label), (label, FINAL_STEP)}
+            child = extend(plan, new_step, edges)
+            child.__dict__["linear_order"] = seq[: g + 1] + (label,) + seq[g + 1 :]
+            child.__dict__["is_total"] = True
+            return child
+
+        cost = ChildCost(1, len(plan.steps) + 1)  # goal updating scans the steps
+        return ExtensionResult(LazyChildren(build, recipes), (cost,) * len(recipes))
 
 
 class UnambiguousPlanner(Planner):
@@ -308,16 +353,13 @@ class UnambiguousPlanner(Planner):
             raise ValueError(f"the {self.kind} planner requires an unambiguous plan")
         return tuple(false_in_sequence(plan, plan.linear_order))
 
-    def _goal_visits(self, plan: Plan) -> int:
-        return len(plan.order) + 2 * len(plan.steps)
-
-    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
+    def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
         c, needer = goal.condition, goal.needer
         deleter = last_deleter(plan, c, needer)
         label = fresh_label(plan)
         instances = self._adder_instances(c, label)
         if not instances:
-            return []
+            return ExtensionResult((), ())
         # The base edges, the base child's adjacency, the steps they order
         # against the newcomer and the cost of finding them depend only on
         # the goal and the fresh label: every adder instance shares them.
@@ -333,15 +375,20 @@ class UnambiguousPlanner(Planner):
         visits += len(plan.steps) + 1  # scan for unlabeled interacting steps
         unordered = [lab for lab in plan.labels if lab not in before and lab not in after]
         mode = "conditional" if self.conditional else "basic"
-        out: list[tuple[Plan, int]] = []
+        # Goal updating touches every edge and twice every step of the
+        # child; its new edges are the base plus its own.
+        visits5 = len(plan.order) + len(base) + 2 * (len(plan.steps) + 1)
+        recipes: list[tuple[Step, frozenset[tuple[int, int]]]] = []
+        costs: list[ChildCost] = []
         for new_step in instances:
             cands = sorted(
                 lab for lab in unordered if steps_interact(plan.by_label[lab], new_step, mode)
             )
 
             # One child per way of ordering every candidate before or after the
-            # new step.  Walks read the base adjacency; a child gets it plus its
-            # own edges, which all touch the new step.
+            # new step.  Walks read the base adjacency; a child's own edges all
+            # touch the new step, and none is a base edge: the base's ends are
+            # ordered against the new step, so they are never candidates.
             def branch(
                 idx: int,
                 before: set[int],
@@ -352,11 +399,8 @@ class UnambiguousPlanner(Planner):
                 while idx < len(cands) and (cands[idx] in before or cands[idx] in after):
                     idx += 1
                 if idx == len(cands):
-                    child = extend(plan, new_step, base | extra)
-                    adj_pred, adj_succ = _add_edges(preds, succs, extra)
-                    child.__dict__["predecessors"] = adj_pred
-                    child.__dict__["successors"] = adj_succ
-                    out.append((child, visits))
+                    recipes.append((new_step, extra))
+                    costs.append(ChildCost(visits, visits5 + len(extra)))
                     return
                 s = cands[idx]
                 nb = set(before)
@@ -367,12 +411,31 @@ class UnambiguousPlanner(Planner):
                 branch(idx + 1, before, na, extra | {(label, s)}, visits + cost_a)
 
             branch(0, before, after, frozenset(), visits)
-        return out
+
+        def build(new_step: Step, extra: frozenset[tuple[int, int]]) -> Plan:
+            child = extend(plan, new_step, base | extra)
+            child.__dict__["predecessors"], child.__dict__["successors"] = _add_edges(
+                preds, succs, extra
+            )
+            return child
+
+        return ExtensionResult(LazyChildren(build, recipes), tuple(costs))
 
 
 class _RoleSelectionMixin:
     """Step 4b: branch on marking versus specializing every conditional add
-    that a later step could consume."""
+    that a later step could consume.  A variant differs from its candidate
+    only in its steps' roles, so it has the candidate's costs."""
+
+    def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
+        cands = super()._extensions(plan, goal)
+        children: list[Plan] = []
+        costs: list[ChildCost] = []
+        for cand, cost in zip(cands.children, cands.costs):
+            variants = self._role_branches(cand)
+            children.extend(variants)
+            costs.extend([cost] * len(variants))
+        return ExtensionResult(tuple(children), tuple(costs))
 
     def _role_branches(self, cand: Plan) -> list[Plan]:
         after = cand.after_sets
@@ -452,11 +515,18 @@ class ModalTruthPlanner(Planner):
             if modal_status(plan, e.needer, e.condition) is not ModalStatus.NECESSARILY_TRUE
         )
 
-    def _goal_visits(self, plan: Plan) -> int:
-        # one modal-truth query per precondition entry
-        return sum(len(s.pre) for s in plan.steps) * len(plan.order)
+    def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
+        found = self._establishments(plan, goal)
+        # goal updating: one modal-truth query per precondition entry
+        costs = tuple(
+            ChildCost(visits, sum(len(s.pre) for s in child.steps) * len(child.order))
+            for child, visits in found
+        )
+        return ExtensionResult(tuple(child for child, _ in found), costs)
 
-    def _ordering_candidates(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
+    def _establishments(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
+        """(child plan, step-4 edge visits) for every establishment of
+        `goal` with its threats resolved."""
         c, needer = goal.condition, goal.needer
         label = fresh_label(plan)
         out: list[tuple[Plan, int]] = []

@@ -8,15 +8,25 @@ it has; ranking sorts children by rating (ties keep their shuffled
 order), pruning keeps only the best-rated children, and the weighted
 variant biases random descent by 1/(1+rating).
 
+Strategies index children one at a time, so for the planners whose
+children are built on first index (``to`` and ``ua``) a search builds
+only the children it reaches or rates.  Ranking shuffles child indices,
+and a shuffle's random draws depend only on the length, so the RNG stream
+is the one a shuffle of the plans would draw.
+
 Iterative sampling and iterative broadening revisit the same nodes: every
 probe or pass restarts at the run's one root.  They keep an extension memo
-for the run, so each plan is extended once; only computation is cached,
-so the probes' choices, the RNG calls and the counters are those of a
-memoryless search.  Nodes at the last expandable depth are not memoised:
-their children are all leaves, and holding them would dominate memory.
-The memo holds at most one entry per expanded node, so the node ceiling
-bounds it, and it dies with the run.  Breadth-first and depth-first
-search visit each node once and keep no memo.
+for the run, so each plan is extended once, at every depth; only
+computation is cached, so the probes' choices, the RNG calls and the
+counters are those of a memoryless search.  A memoised result keeps the
+children it built, which are memo keys in turn, except at the last
+expandable depth: there it keeps only the recipes, and each leaf is built
+per visit and dies after it, so the memo does not hold every leaf the run
+visits.  The planners that build every child at once are not memoised at
+that depth at all, for the same reason.  The memo holds at most one entry
+per expanded node, so the node ceiling bounds it, and it dies with the
+run.  Breadth-first and depth-first search visit each node once and keep
+no memo.
 """
 
 from __future__ import annotations
@@ -24,10 +34,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .model import Plan
-from .planners import ExtensionResult, Planner
+from .planners import ExtensionResult, LazyChildren, Planner
 from .trees import _Tally
 
 HEURISTICS = ("none", "min_goals_rank", "min_goals_prune", "min_goals_weight")
@@ -92,24 +102,25 @@ def min_goals_rating(planner: Planner, plan: Plan) -> int:
 
 def rank_children(
     planner: Planner,
-    result: ExtensionResult,
+    kids: Sequence[Plan],
     mode: str,
     rng: Optional[random.Random] = None,
-) -> list[Plan]:
-    """Shuffle children, then apply the heuristic mode on the ratings."""
-    kids = list(result.children)
+) -> list[int]:
+    """Indices into `kids`: shuffled, then ordered or pruned by the
+    heuristic mode on the ratings.  Only rating reads a child."""
+    order = list(range(len(kids)))
     if rng is not None:
-        rng.shuffle(kids)
+        rng.shuffle(order)
     if mode == "min_goals_rank":
         # stable: ties keep their shuffled order
-        kids.sort(key=lambda child: min_goals_rating(planner, child))
-    elif mode == "min_goals_prune" and kids:
-        ratings = [min_goals_rating(planner, child) for child in kids]
+        order.sort(key=lambda i: min_goals_rating(planner, kids[i]))
+    elif mode == "min_goals_prune" and order:
+        ratings = [min_goals_rating(planner, kids[i]) for i in order]
         best = min(ratings)
-        kids = [child for child, rating in zip(kids, ratings) if rating == best]
+        order = [i for i, rating in zip(order, ratings) if rating == best]
     elif mode not in HEURISTICS:
         raise ValueError(f"unknown heuristic {mode!r}")
-    return kids  # min_goals_weight applies at choice time, not here
+    return order  # min_goals_weight applies at choice time, not here
 
 
 _Memo = dict[Plan, ExtensionResult]
@@ -124,14 +135,18 @@ def _expand(
     memo: Optional[_Memo] = None,
 ) -> Optional[ExtensionResult]:
     """Visit `plan`: its children, or None at a counted leaf (a solution,
-    the depth limit or a dead end).  With a `memo`, a plan above the last
-    expandable depth is extended at most once."""
+    the depth limit or a dead end).  With a `memo`, a plan is extended at
+    most once; at the last expandable depth the memo keeps no leaf."""
     tally.visit(depth)
     if depth < cfg.depth_limit and not planner.is_solution(plan):
-        if memo is None or depth == cfg.depth_limit - 1:
+        if memo is None:
             result = planner.children(plan)
         elif (result := memo.get(plan)) is None:
-            result = memo[plan] = planner.children(plan)
+            result = planner.children(plan)
+            if depth < cfg.depth_limit - 1:
+                memo[plan] = result
+            elif isinstance(result.children, LazyChildren):
+                memo[plan] = result = replace(result, children=result.children.transient())
         if result.children:
             return result
     tally.leaves += 1
@@ -168,7 +183,7 @@ def _descend(
     node; the first solution leaf visited, else None.  The walk keeps its
     own stack, so the depth limit is not bounded by Python's recursion
     limit."""
-    pending: list[Iterator[Plan]] = []  # untried children per open depth
+    pending: list[Iterator[Plan]] = []  # untried children per open depth, built when reached
     plan = root
     while True:
         result = _expand(planner, plan, len(pending), cfg, tally, memo)
@@ -176,9 +191,10 @@ def _descend(
             if planner.is_solution(plan):
                 return plan
         else:
-            kids = rank_children(planner, result, cfg.heuristic, rng)
-            tally.max_width = max(tally.max_width, len(kids))
-            pending.append(iter(kids[:cutoff]))
+            kids = _rated(result, cfg.heuristic)
+            order = rank_children(planner, kids, cfg.heuristic, rng)
+            tally.max_width = max(tally.max_width, len(order))
+            pending.append(map(kids.__getitem__, order[:cutoff]))
         while pending and (plan := next(pending[-1], None)) is None:
             pending.pop()
         if not pending:
@@ -213,12 +229,19 @@ def iterative_sampling(planner: Planner, cfg: StrategyConfig) -> SearchOutcome:
     return _outcome(False, None, tally, start, cfg.seed, iterations=cfg.max_iterations)
 
 
+def _rated(result: ExtensionResult, heuristic: str) -> Sequence[Plan]:
+    """The children to choose from: all built at once under a heuristic,
+    which rates every one, so that none is built twice."""
+    return result.children if heuristic == "none" else list(result.children)
+
+
 def _pick(planner: Planner, result: ExtensionResult, heuristic: str, rng: random.Random) -> Plan:
-    kids = result.children
+    """One child; without a heuristic, only that child is built."""
+    kids = _rated(result, heuristic)
     if heuristic == "min_goals_prune":
         ratings = [min_goals_rating(planner, child) for child in kids]
         best = min(ratings)
-        kids = tuple(child for child, rating in zip(kids, ratings) if rating == best)
+        kids = [child for child, rating in zip(kids, ratings) if rating == best]
     elif heuristic == "min_goals_weight":
         weights = [1.0 / (1 + min_goals_rating(planner, child)) for child in kids]
         return rng.choices(kids, weights=weights)[0]

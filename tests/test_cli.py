@@ -153,6 +153,53 @@ class TestVerify:
         assert all(set(e) == {"ua_id", "to_ids"} for e in payload)
 
 
+    def test_mt_with_conditional_refused(self, capsys):
+        assert main(["verify", "fixture:fig9", "--mt", "--conditional"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "",
+            "error: --mt runs the mt/to diagnostic and cannot be combined with --conditional\n",
+        )
+
+
+def _file_error_argv(case: str, tmp_path: Path) -> list[str]:
+    """A command whose input or output path is unusable; `tmp_path` is an
+    existing directory."""
+    if case == "solve-directory":
+        return ["solve", str(tmp_path)]
+    if case == "gen-suite-over-file":
+        existing = tmp_path / "existing.txt"
+        existing.write_text("x\n")
+        return ["gen", str(existing), "--suite"]
+    if case == "experiment-output-directory":
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "problems = fixture:fig9\nplanners = to\ntrials = 1\n"
+            f"depth_limit = 2\noutput = {tmp_path}\n"
+        )
+        return ["experiment", str(cfg)]
+    if case == "dump-tree-output-directory":
+        return ["dump-tree", "fixture:fig9", "--depth-limit", "2", "--output", str(tmp_path)]
+    assert case == "verify-dump-map-directory"
+    return ["verify", "fixture:fig9", "--depth-limit", "2", "--dump-map", str(tmp_path)]
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "solve-directory",
+            "gen-suite-over-file",
+            "experiment-output-directory",
+            "dump-tree-output-directory",
+            "verify-dump-map-directory",
+        ],
+    )
+    def test_os_error_exits_two_with_one_line(self, tmp_path, capsys, case):
+        assert main(_file_error_argv(case, tmp_path)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestCeilings:
     def test_solve_honours_node_ceiling(self, capsys):
         args = ["solve", "fixture:fig17", "--planner", "mt", "--strategy", "bfs", "--depth-limit", "12"]

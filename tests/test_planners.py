@@ -18,6 +18,7 @@ from planlab.model import (
     linear_extensions,
     make_op,
 )
+from planlab import planners
 from planlab.planners import (
     PlannerConfig,
     make_planner,
@@ -509,6 +510,62 @@ class TestLazyGoals:
         # the first read computes and caches the goals
         goals = planner.goal_set(plan)
         assert planner._goal_cache[plan] is goals
+
+
+class TestLazyChildren:
+    @staticmethod
+    def wide_parent(kind):
+        """The planner and the first sussman plan with more than two children."""
+        planner = make_planner(kind, fixture("sussman"))
+        for node in enumerate_tree(planner, 3).nodes:
+            if node.goals and len(node.children_ids) > 2:
+                return planner, node.plan
+        raise AssertionError("no wide node")
+
+    @pytest.mark.parametrize("kind", ["to", "ua"])
+    def test_children_built_only_when_indexed(self, kind, monkeypatch):
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return extend(*args)
+
+        planner, plan = self.wide_parent(kind)
+        extend = planners.extend
+        monkeypatch.setattr(planners, "extend", spy)
+        result = planner.children(plan)
+        assert len(result.children) > 2 and built == []
+        child = result.children[1]
+        assert len(built) == 1
+        assert result.children[1] is child and len(built) == 1  # kept once built
+        assert list(result.children)[1] is child
+        assert result.children[1:3] == [child, result.children[2]]
+        assert len(built) == len(result.children)
+
+    @pytest.mark.parametrize("kind", ["to", "ua"])
+    def test_transient_view_keeps_no_child(self, kind):
+        planner, plan = self.wide_parent(kind)
+        result = planner.children(plan)
+        view = result.children.transient()
+        assert len(view) == len(result.children)
+        assert view[0] is not view[0]
+        assert [c.order for c in view] == [c.order for c in result.children]
+        assert result.children[0] is result.children[0]
+
+    @pytest.mark.parametrize("kind", ["to", "ua", "toc", "uac", "mt"])
+    def test_dead_end_children_empty(self, kind):
+        prob = Problem("stuck", frozenset(), frozenset(["g"]), (make_op("noop", adds=["x"]),))
+        result = make_planner(kind, prob).children(initial_plan(prob))
+        assert result.children == () and result.costs == ()
+
+    @pytest.mark.parametrize("name", ["fig9", "fig13", "fig17", "sussman"])
+    @pytest.mark.parametrize("kind", ["to", "ua", "toc", "uac", "mt"])
+    def test_one_cost_per_child(self, name, kind):
+        planner = make_planner(kind, fixture(name))
+        parents = [n.plan for n in enumerate_tree(planner, 3).nodes if n.goals]
+        for plan in parents:
+            result = planner.children(plan)
+            assert len(result.costs) == len(result.children)
 
 
 class TestGoalSelection:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -17,6 +18,7 @@ from planlab.search import (
     bfs,
     dfs,
     iterative_broadening,
+    _expand,
     iterative_sampling,
     mean_probes_until_solution,
     min_goals_rating,
@@ -24,7 +26,7 @@ from planlab.search import (
     run_search,
     run_trials,
 )
-from planlab.trees import TreeCeilingError
+from planlab.trees import TreeCeilingError, _Tally
 
 
 def empty_goal_problem():
@@ -123,8 +125,8 @@ class TestDfs:
         result = planner.children(target.plan)
         import random
 
-        ordered = rank_children(planner, result, "min_goals_rank", random.Random(3))
-        first = ordered[0]
+        ordered = rank_children(planner, result.children, "min_goals_rank", random.Random(3))
+        first = result.children[ordered[0]]
         relay = [s.label for s in first.steps if s.name == "relay"][0]
         supplier = [s.label for s in first.steps if s.name == "supplier"][0]
         assert first.before(supplier, relay)
@@ -266,8 +268,8 @@ def memo_run(case, spy=None):
 
 
 class TestExtensionMemo:
-    """isamp and ibroad extend every plan above the last expandable depth
-    once per run, and report the counters of a memoryless search."""
+    """isamp and ibroad extend every plan once per run, the last expandable
+    depth included, and report the counters of a memoryless search."""
 
     @pytest.mark.parametrize("case", MEMO_CASES, ids=lambda c: "-".join(c[:4]))
     def test_counters_unchanged(self, case):
@@ -285,9 +287,26 @@ class TestExtensionMemo:
     def test_each_plan_extended_once(self, case):
         extended = []
         cfg = memo_run(case, extended)[1]
-        memoised = Counter(id(plan) for plan in extended if plan.depth < cfg.depth_limit - 1)
-        assert memoised and max(memoised.values()) == 1
+        assert max(Counter(id(plan) for plan in extended).values()) == 1
+        assert any(plan.depth == cfg.depth_limit - 1 for plan in extended)
         assert sum(plan.depth == 0 for plan in extended) == 1  # one root per run
+
+    @pytest.mark.parametrize("kind", ["to", "ua"])
+    def test_memo_keeps_inner_children_and_no_leaf(self, kind):
+        planner = make_planner(kind, fixture("sussman"))
+        cfg = StrategyConfig(strategy="isamp", depth_limit=2)
+        tally, memo = _Tally(cfg.depth_limit), {}
+        root = planner.root()
+        top = _expand(planner, root, 0, cfg, tally, memo)
+        assert memo[root] is top
+        child = top.children[0]
+        assert top.children[0] is child  # a memo key: the same object every probe
+        last = _expand(planner, child, 1, cfg, tally, memo)
+        assert memo[child] is last and _expand(planner, child, 1, cfg, tally, memo) is last
+        leaf = weakref.ref(last.children[0])
+        gc.collect()
+        assert leaf() is None  # built for one visit, kept by nobody
+        assert last.children[0] is not last.children[0]
 
     @pytest.mark.parametrize("case", MEMO_CASES, ids=lambda c: "-".join(c[:4]))
     def test_run_leaves_only_the_solution_chain(self, case):
@@ -318,8 +337,8 @@ class TestMinGoals:
             if not n.children_ids:
                 continue
             result = planner.children(n.plan)
-            ordered = rank_children(planner, result, "min_goals_rank")
-            ratings = [min_goals_rating(planner, c) for c in ordered]
+            ordered = rank_children(planner, result.children, "min_goals_rank")
+            ratings = [min_goals_rating(planner, result.children[i]) for i in ordered]
             assert ratings == sorted(ratings)
 
     def test_prune_keeps_only_minimum(self):
@@ -332,9 +351,9 @@ class TestMinGoals:
             if not n.children_ids:
                 continue
             result = planner.children(n.plan)
-            kept = rank_children(planner, result, "min_goals_prune")
+            kept = rank_children(planner, result.children, "min_goals_prune")
             best = min(len(planner.goal_set(c)) for c in result.children)
-            assert all(min_goals_rating(planner, c) == best for c in kept)
+            assert kept and all(min_goals_rating(planner, result.children[i]) == best for i in kept)
 
 
 class TestHeuristicPairs:
