@@ -152,7 +152,6 @@ class TestVerify:
         payload = json.loads(out.read_text())
         assert all(set(e) == {"ua_id", "to_ids"} for e in payload)
 
-
     def test_mt_with_conditional_refused(self, capsys):
         assert main(["verify", "fixture:fig9", "--mt", "--conditional"]) == EXIT_USAGE
         assert capsys.readouterr() == (

@@ -15,10 +15,10 @@ from planlab.search import (
     HEURISTICS,
     STRATEGIES,
     StrategyConfig,
+    _expand,
     bfs,
     dfs,
     iterative_broadening,
-    _expand,
     iterative_sampling,
     mean_probes_until_solution,
     min_goals_rating,
