@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,6 +84,17 @@ def _resolve_depth(problem: Problem, raw: str) -> int:
     if depth < 0:
         raise ValueError(f"depth limit must be >= 0, not {raw!r}")
     return depth
+
+
+def _check_writable(path: Path) -> None:
+    """Refuse an output path that cannot be written, before any work runs."""
+    if path.is_dir():
+        raise OSError(f"cannot write {path}: it is a directory")
+    parent = path.parent
+    if not parent.is_dir():
+        raise OSError(f"cannot write {path}: directory {parent} does not exist")
+    if not os.access(path if path.exists() else parent, os.W_OK):
+        raise OSError(f"cannot write {path}: permission denied")
 
 
 def _describe_plan(plan: Plan) -> str:
@@ -164,6 +176,8 @@ def _planner_config(args: argparse.Namespace, seed: Optional[int] = None) -> Pla
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.mt and args.conditional:
         raise ValueError("--mt runs the mt/to diagnostic and cannot be combined with --conditional")
+    if args.dump_map and not args.mt:
+        _check_writable(Path(args.dump_map))
     problem = _load_problem(args.problem)
     depth = _resolve_depth(problem, args.depth_limit)
     ceiling = args.node_ceiling
@@ -394,11 +408,13 @@ def _write_rows(rows: list[dict], columns: list[str], path: str, fmt: str) -> No
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.load(args.config)
-    rows, summary = run_experiment(cfg)
     out = Path(cfg.output)
+    summary_path = out.with_name(out.stem + "_summary" + out.suffix)
+    _check_writable(out)
+    _check_writable(summary_path)
+    rows, summary = run_experiment(cfg)
     _write_rows(rows, EXPERIMENT_COLUMNS, str(out), cfg.format)
     summary_cols = list(summary[0].keys()) if summary else []
-    summary_path = out.with_name(out.stem + "_summary" + out.suffix)
     _write_rows(summary, summary_cols, str(summary_path), cfg.format)
     print(f"wrote {len(rows)} rows to {out}")
     print(f"wrote {len(summary)} summary cells to {summary_path}")

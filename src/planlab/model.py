@@ -379,11 +379,26 @@ def _signature_groups(plan: Plan) -> dict[tuple, list[int]]:
 def is_linearization(total: Plan, plan: Plan) -> bool:
     """True iff `total` is a totally ordered plan whose steps correspond
     one-to-one (same operator, same effective fields) to `plan`'s steps in a
-    way that respects every ordering of `plan`."""
+    way that respects every ordering of `plan`.
+
+    When `plan`'s step signatures are all distinct the correspondence is
+    forced, so one walk along `total.sequence` decides it in polynomial
+    time, at any plan size.  Otherwise a backtracking search over the
+    signature-preserving bijections decides it, refusing plans over
+    ``STEP_CEILING`` steps."""
     if len(total.steps) != len(plan.steps):
         return False
     if not total.is_total:
         return False
+    label_of = {s.signature: s.label for s in plan.steps}
+    if len(label_of) == len(plan.steps):
+        placed: set[int] = set()
+        for t in total.sequence:
+            lab = label_of.get(total.by_label[t].signature)
+            if lab is None or lab in placed or not placed.issuperset(plan.predecessors[lab]):
+                return False
+            placed.add(lab)
+        return True
     if Counter(s.signature for s in total.steps) != Counter(s.signature for s in plan.steps):
         return False
     _check_size(plan, "linearization check")

@@ -18,7 +18,7 @@ from planlab.cli import (
     main,
     run_experiment,
 )
-from planlab import cli
+from planlab import cli, search
 from planlab.domains import d1s1_problem, fixture, serialize_problem
 from planlab.model import PlanSizeError
 from planlab.oracle import OracleCeilingError
@@ -197,6 +197,32 @@ class TestFileErrors:
         assert main(_file_error_argv(case, tmp_path)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("unusable", ["directory", "missing-parent"])
+    def test_unwritable_output_refused_before_any_search(self, tmp_path, monkeypatch, capsys, unusable):
+        calls = {"run_search": 0, "enumerate_tree": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(search, "run_search", counted("run_search", search.run_search))
+        monkeypatch.setattr(cli, "enumerate_tree", counted("enumerate_tree", cli.enumerate_tree))
+        target = tmp_path if unusable == "directory" else tmp_path / "absent" / "out.json"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "problems = fixture:fig9\nplanners = to,ua\ntrials = 5\n"
+            f"depth_limit = 2\noutput = {target}\n"
+        )
+        verify = ["verify", "fixture:fig9", "--depth-limit", "2", "--dump-map", str(target)]
+        for argv in (["experiment", str(cfg)], verify):
+            assert main(argv) == EXIT_USAGE
+            assert calls == {"run_search": 0, "enumerate_tree": 0}, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1, err
 
 
 class TestCeilings:

@@ -25,10 +25,14 @@ from planlab.model import (
 from conftest import brute_topological_orders, chain_plan, linearization_plans, random_plan
 
 
-def plan_of(edges, middle=3) -> Plan:
+def plan_of(edges, middle=3, names=None) -> Plan:
+    """Middle steps 2, 3, ... named `names` (default: distinct ``op{i}``),
+    each between the sentinels, plus `edges`."""
+    if names is None:
+        names = [f"op{i}" for i in range(middle)]
     steps = [Step(INIT_STEP, "#init"), Step(FINAL_STEP, "#goal")]
-    for i in range(middle):
-        steps.append(Step(2 + i, f"op{i}"))
+    for i, name in enumerate(names):
+        steps.append(Step(2 + i, name))
     all_edges = set(edges)
     for s in steps:
         if s.label not in (INIT_STEP, FINAL_STEP):
@@ -36,6 +40,11 @@ def plan_of(edges, middle=3) -> Plan:
             all_edges.add((s.label, FINAL_STEP))
     all_edges.add((INIT_STEP, FINAL_STEP))
     return Plan(tuple(steps), frozenset(all_edges))
+
+
+def chain(k: int) -> set[tuple[int, int]]:
+    """Edges ordering middle steps 2 .. k+1 in label order."""
+    return {(2 + i, 3 + i) for i in range(k - 1)}
 
 
 class TestInitialPlan:
@@ -146,6 +155,39 @@ class TestIsLinearization:
         plan = plan_of({(2, 3), (3, 4)})
         assert len(linear_extensions(plan)) == 1
 
+    def test_repeated_signatures_backtrack_past_a_dead_end(self):
+        # Labels 2:A, 3:A, 4:B with 3 < 4.  The first ready A (label 2)
+        # leaves B waiting on label 3, so the search must back up.
+        plan = plan_of({(3, 4)}, names=["A", "A", "B"])
+        total = plan_of(chain(3), names=["A", "B", "A"])
+        assert is_linearization(total, plan)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_linear_extension_oracle(self, data):
+        pool = data.draw(st.sampled_from(["AB", "ABCDEF"]))
+        names = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+        k = len(names)
+        edges = {
+            (2 + i, 2 + j)
+            for i in range(k)
+            for j in range(i + 1, k)
+            if data.draw(st.booleans())
+        }
+        plan = plan_of(edges, names=names)
+        chain_names = [names[i] for i in data.draw(st.permutations(range(k)))]
+        if k and data.draw(st.booleans()):
+            chain_names[data.draw(st.integers(0, k - 1))] = "Z"
+        total = plan_of(chain(k), names=chain_names)
+
+        def signatures(p, seq):
+            return tuple(p.step(lab).signature for lab in seq)
+
+        oracle = signatures(total, total.sequence) in {
+            signatures(plan, seq) for seq in linear_extensions(plan)
+        }
+        assert is_linearization(total, plan) == oracle
+
 
 class TestEquivalence:
     def test_relabeling(self, tiny_problem):
@@ -247,6 +289,16 @@ class TestCeilings:
         plan = plan_of(set(), middle=35)
         with pytest.raises(PlanSizeError):
             linear_extensions(plan)
+
+    def test_distinct_signatures_checked_past_the_step_ceiling(self):
+        plan = plan_of(set(), middle=35)
+        assert is_linearization(plan_of(chain(35), middle=35), plan)
+
+    def test_repeated_signatures_refused_past_the_step_ceiling(self):
+        names = ["A"] * 35
+        plan = plan_of(set(), names=names)
+        with pytest.raises(PlanSizeError):
+            is_linearization(plan_of(chain(35), names=names), plan)
 
 
 class TestOperatorSchema:

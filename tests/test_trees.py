@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from planlab.domains import d1s1_problem, fixture
+from planlab.domains import BlocksworldSpec, blocksworld_problem, d1s1_problem, fixture
 from planlab.model import Problem, initial_plan, linear_extensions
+from planlab.oracle import minimal_solution_length
 from planlab.planners import make_planner
 from planlab.trees import (
     SearchNode,
@@ -94,9 +95,6 @@ class TestCorrespondence:
             assert verify_partition(cmap, to_tree).ok
 
     def test_all_checks_pass_on_blocksworld(self):
-        from planlab.domains import BlocksworldSpec, blocksworld_problem
-        from planlab.oracle import minimal_solution_length
-
         prob = blocksworld_problem(BlocksworldSpec(n_blocks=3, seed=2))
         depth = minimal_solution_length(prob)
         ua_tree, to_tree, cmap = self.build(prob, depth)
@@ -147,6 +145,41 @@ class TestCorrespondence:
             ("#init", "op3", "op2", "op1", "#goal") in v.shared_sequences
             for v in violations
         )
+
+    @pytest.mark.parametrize(
+        "problem, kinds",
+        [
+            (blocksworld_problem(BlocksworldSpec(n_blocks=4, seed=20)), ("ua", "to")),
+            # four of its ua plans repeat a step signature
+            (blocksworld_problem(BlocksworldSpec(n_blocks=3, seed=16)), ("ua", "to")),
+            (fixture("fig13"), ("uac", "toc")),
+        ],
+        ids=["blocks4_seed20", "blocks3_seed16", "fig13"],
+    )
+    def test_map_equals_linear_extension_reference(self, problem, kinds):
+        depth = minimal_solution_length(problem)
+        pa_tree = enumerate_tree(make_planner(kinds[0], problem), depth)
+        to_tree = enumerate_tree(make_planner(kinds[1], problem), depth)
+
+        def signatures(plan, seq):
+            return tuple(plan.step(lab).signature for lab in seq)
+
+        # Same parent-linking rule as build_correspondence, but a total-order
+        # node qualifies when its signature sequence is one of the partial
+        # plan's linear extensions.
+        reference = {pa_tree.root_id: (to_tree.root_id,)}
+        for u in pa_tree.nodes[1:]:
+            keys = {signatures(u.plan, seq) for seq in linear_extensions(u.plan)}
+            hits = tuple(
+                t_id
+                for t_parent in reference.get(u.parent_id, ())
+                for t_id in to_tree.node(t_parent).children_ids
+                if signatures(to_tree.node(t_id).plan, to_tree.node(t_id).plan.sequence) in keys
+            )
+            if hits:
+                reference[u.id] = hits
+        assert len(reference) > 1
+        assert build_correspondence(pa_tree, to_tree).pairs == reference
 
     def test_unambiguous_tree_has_no_sibling_overlap(self):
         prob = d1s1_problem([1, 2, 3])
