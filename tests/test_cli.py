@@ -261,6 +261,17 @@ class TestCeilings:
         assert out == "|tree_ua| = 501  |tree_to| = 501\n"
         assert err == "error: linearization check refused: plan has 33 steps, ceiling is 32\n"
 
+    def test_deep_verify_of_distinct_operators_is_not_refused(self, tmp_path, capsys):
+        # 35 distinct operators in one chain: plans of 37 steps, over the
+        # step ceiling, whose linearization check needs no search
+        ops = "".join(f"operator op{i}\n  pre: p{i - 1}\n  add: p{i}\nend\n" for i in range(1, 36))
+        path = tmp_path / "chain35.plan"
+        path.write_text(f"problem chain35\ninit: p0\ngoal: p35\n{ops}", encoding="utf-8")
+        assert main(["verify", str(path), "--depth-limit", "35"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith("|tree_ua| = 36  |tree_to| = 36\n")
+        assert err == ""
+
     def test_deep_dump_tree(self, loop_file, tmp_path, capsys):
         out = tmp_path / "tree.json"
         code = main(["dump-tree", loop_file, "--depth-limit", "500", "--output", str(out)])
