@@ -176,7 +176,9 @@ def _planner_config(args: argparse.Namespace, seed: Optional[int] = None) -> Pla
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.mt and args.conditional:
         raise ValueError("--mt runs the mt/to diagnostic and cannot be combined with --conditional")
-    if args.dump_map and not args.mt:
+    if args.mt and args.dump_map:
+        raise ValueError("--mt builds no correspondence map and cannot be combined with --dump-map")
+    if args.dump_map:
         _check_writable(Path(args.dump_map))
     problem = _load_problem(args.problem)
     depth = _resolve_depth(problem, args.depth_limit)
@@ -293,24 +295,6 @@ def _experiment_problems(cfg: ExperimentConfig) -> list[tuple[str, int, Problem]
     return out
 
 
-EXPERIMENT_COLUMNS = [
-    "problem_id",
-    "length_class",
-    "planner",
-    "strategy",
-    "heuristic",
-    "seed",
-    "trial",
-    "solved",
-    "depth_limit",
-    "nodes_expanded",
-    "leaves_visited",
-    "iterations",
-    "solution_length",
-    "wall_ms",
-]
-
-
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """All result rows plus the per-cell summary table, in canonical order."""
     rows: list[dict] = []
@@ -395,12 +379,13 @@ def summarize_experiment(rows: Sequence[dict]) -> list[dict]:
     return summary
 
 
-def _write_rows(rows: list[dict], columns: list[str], path: str, fmt: str) -> None:
+def _write_rows(rows: list[dict], path: str, fmt: str) -> None:
+    """Write non-empty `rows` as JSON, or as CSV headed by the first row's keys."""
     if fmt == "json":
         Path(path).write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
         return
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
@@ -413,9 +398,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _check_writable(out)
     _check_writable(summary_path)
     rows, summary = run_experiment(cfg)
-    _write_rows(rows, EXPERIMENT_COLUMNS, str(out), cfg.format)
-    summary_cols = list(summary[0].keys()) if summary else []
-    _write_rows(summary, summary_cols, str(summary_path), cfg.format)
+    _write_rows(rows, str(out), cfg.format)
+    _write_rows(summary, str(summary_path), cfg.format)
     print(f"wrote {len(rows)} rows to {out}")
     print(f"wrote {len(summary)} summary cells to {summary_path}")
     return EXIT_OK
@@ -495,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="enumerate and cross-check search trees")
     p_verify.add_argument("problem")
     p_verify.add_argument("--conditional", action="store_true", help="verify uac against toc")
-    p_verify.add_argument("--mt", action="store_true", help="run the mt/to redundancy diagnostic (not with --conditional)")
+    p_verify.add_argument("--mt", action="store_true", help="run the mt/to redundancy diagnostic (not with --conditional or --dump-map)")
     p_verify.add_argument("--dump-map", default="", help="write the correspondence map as JSON")
     add_common(p_verify)
     p_verify.set_defaults(fn=cmd_verify)

@@ -25,18 +25,17 @@ BLOCK_NAMES = "abcdefgh"
 
 # -- blocksworld -------------------------------------------------------
 
+#: The per-fact probability that a goal-configuration position fact is kept
+#: as an actual goal, so goals are usually partial.
+GOAL_KEEP = 0.7
+
 
 @dataclass(frozen=True)
 class BlocksworldSpec:
-    """Seeded description of one random blocksworld instance.
-
-    ``goal_keep`` is the per-fact probability that a goal-configuration
-    position fact is kept as an actual goal, so goals are usually partial.
-    """
+    """Seeded description of one random blocksworld instance."""
 
     n_blocks: int
     seed: int
-    goal_keep: float = 0.7
 
     def __post_init__(self) -> None:
         if not 2 <= self.n_blocks <= len(BLOCK_NAMES):
@@ -127,7 +126,7 @@ def blocksworld_problem(spec: BlocksworldSpec) -> Problem:
         position_facts = sorted(
             f for f in _config_facts(goal_cfg) if not f.startswith("clear_")
         )
-        goals = {f for f in position_facts if rng.random() < spec.goal_keep}
+        goals = {f for f in position_facts if rng.random() < GOAL_KEEP}
         if goals and not goals <= init:
             break
     return Problem(
@@ -143,14 +142,11 @@ def blocksworld_problem(spec: BlocksworldSpec) -> Problem:
 CHAIN_SIZE = 15
 
 
-def d1s1_problem(
-    goal_indices: Iterable[int], zero_marker: bool = False
-) -> Problem:
+def d1s1_problem(goal_indices: Iterable[int]) -> Problem:
     """The indexed chain domain over markers i1..i15 and targets g1..g15.
 
-    Operator o_k requires i_k, adds g_k and deletes i_{k-1}.  o_1 deletes
-    nothing by default; with ``zero_marker`` a marker i0 exists, is
-    initially true, and o_1 deletes it.
+    Operator o_k requires i_k, adds g_k and deletes i_{k-1}; o_1 deletes
+    nothing.
     """
     indices = sorted(set(goal_indices))
     if not indices:
@@ -158,11 +154,9 @@ def d1s1_problem(
     if indices[0] < 1 or indices[-1] > CHAIN_SIZE:
         raise ValueError(f"goal indices must lie in 1..{CHAIN_SIZE}")
     init = {f"i{k}" for k in range(1, CHAIN_SIZE + 1)}
-    if zero_marker:
-        init.add("i0")
     ops = []
     for k in range(1, CHAIN_SIZE + 1):
-        dels = {f"i{k-1}"} if (k > 1 or zero_marker) else set()
+        dels = {f"i{k-1}"} if k > 1 else set()
         ops.append(
             make_op(
                 f"o{k}",
@@ -551,8 +545,6 @@ def suite_problem(entry: tuple[int, int, int]) -> Problem:
 
 def standard_suite() -> list[tuple[int, Problem]]:
     """The committed 44-problem suite as (length_class, problem) pairs."""
-    if not SUITE_ENTRIES:
-        raise RuntimeError("suite entries are not frozen yet")
     return [(entry[0], suite_problem(entry)) for entry in SUITE_ENTRIES]
 
 

@@ -339,7 +339,7 @@ def _check_size(plan: Plan, what: str) -> None:
         )
 
 
-def linear_extensions(plan: Plan, limit: int = EXTENSION_CEILING) -> list[tuple[int, ...]]:
+def linear_extensions(plan: Plan) -> list[tuple[int, ...]]:
     """All label sequences consistent with the plan's partial order."""
     _check_size(plan, "linear extension enumeration")
     indeg = {lab: len(plan.predecessors[lab]) for lab in plan.labels}
@@ -350,8 +350,8 @@ def linear_extensions(plan: Plan, limit: int = EXTENSION_CEILING) -> list[tuple[
 
     def rec() -> None:
         if len(seq) == n:
-            if len(out) >= limit:
-                raise PlanSizeError(f"linear extension enumeration exceeded {limit} sequences")
+            if len(out) >= EXTENSION_CEILING:
+                raise PlanSizeError(f"linear extension enumeration exceeded {EXTENSION_CEILING} sequences")
             out.append(tuple(seq))
             return
         for lab in sorted(l for l, d in indeg.items() if d == 0 and l not in placed):

@@ -14,6 +14,8 @@ from typing import Optional
 
 from .model import OperatorSchema, Problem
 
+STATE_CEILING = 200_000
+
 
 class OracleCeilingError(RuntimeError):
     """The state-space search visited more states than allowed."""
@@ -31,11 +33,10 @@ def apply_operator(state: frozenset[str], op: OperatorSchema) -> frozenset[str]:
     return frozenset((state - dels) | adds)
 
 
-def minimal_solution_length(
-    problem: Problem, state_ceiling: int = 200_000
-) -> Optional[int]:
+def minimal_solution_length(problem: Problem) -> Optional[int]:
     """Length of the shortest operator sequence from init to the goals,
-    or None when the goals are unreachable."""
+    or None when the goals are unreachable.  Refuses a search that visits
+    more than `STATE_CEILING` states."""
     start = frozenset(problem.init)
     if problem.goals <= start:
         return 0
@@ -52,9 +53,9 @@ def minimal_solution_length(
             if problem.goals <= nxt:
                 return dist + 1
             seen.add(nxt)
-            if len(seen) > state_ceiling:
+            if len(seen) > STATE_CEILING:
                 raise OracleCeilingError(
-                    f"state-space search exceeded {state_ceiling} states"
+                    f"state-space search exceeded {STATE_CEILING} states"
                 )
             queue.append((nxt, dist + 1))
     return None

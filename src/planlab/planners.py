@@ -516,35 +516,30 @@ class ModalTruthPlanner(Planner):
         )
 
     def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
-        found = self._establishments(plan, goal)
-        # goal updating: one modal-truth query per precondition entry
-        costs = tuple(
-            ChildCost(visits, sum(len(s.pre) for s in child.steps) * len(child.order))
-            for child, visits in found
-        )
-        return ExtensionResult(tuple(child for child, _ in found), costs)
-
-    def _establishments(self, plan: Plan, goal: GoalEntry) -> list[tuple[Plan, int]]:
-        """(child plan, step-4 edge visits) for every establishment of
-        `goal` with its threats resolved."""
+        """Every establishment of `goal` with its threats resolved."""
         c, needer = goal.condition, goal.needer
-        label = fresh_label(plan)
-        out: list[tuple[Plan, int]] = []
+        found: list[tuple[Plan, int]] = []  # (child plan, step-4 edge visits)
         seen: set = set()
         for s in plan.steps:
             if s.label == needer or c not in s.adds:
                 continue
             if plan.before(needer, s.label):
                 continue  # necessarily after the needer: not possibly before
-            out.extend(
+            found.extend(
                 self._resolve_threats(
                     plan, None, frozenset({(s.label, needer)}), s.label, c, needer, seen
                 )
             )
+        label = fresh_label(plan)
+        base = frozenset({(label, needer), (INIT_STEP, label), (label, FINAL_STEP)})
         for new_step in self._adder_instances(c, label):
-            base = frozenset({(label, needer), (INIT_STEP, label), (label, FINAL_STEP)})
-            out.extend(self._resolve_threats(plan, new_step, base, label, c, needer, seen))
-        return out
+            found.extend(self._resolve_threats(plan, new_step, base, label, c, needer, seen))
+        # goal updating: one modal-truth query per precondition entry
+        costs = tuple(
+            ChildCost(visits, sum(len(s.pre) for s in child.steps) * len(child.order))
+            for child, visits in found
+        )
+        return ExtensionResult(tuple(child for child, _ in found), costs)
 
     def _resolve_threats(
         self,

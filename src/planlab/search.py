@@ -239,9 +239,7 @@ def _pick(planner: Planner, result: ExtensionResult, heuristic: str, rng: random
     """One child; without a heuristic, only that child is built."""
     kids = _rated(result, heuristic)
     if heuristic == "min_goals_prune":
-        ratings = [min_goals_rating(planner, child) for child in kids]
-        best = min(ratings)
-        kids = [child for child, rating in zip(kids, ratings) if rating == best]
+        kids = [kids[i] for i in rank_children(planner, kids, heuristic)]
     elif heuristic == "min_goals_weight":
         weights = [1.0 / (1 + min_goals_rating(planner, child)) for child in kids]
         return rng.choices(kids, weights=weights)[0]

@@ -317,10 +317,10 @@ class TreeStats:
     clustering: Clustering
 
 
-def tree_stats(tree: SearchTree, depth_bound: Optional[int] = None) -> TreeStats:
-    """Counts, solution density over the depth-bounded leaves, and gap and
-    run-length descriptions of the left-to-right solution layout."""
-    bound = tree.depth_limit if depth_bound is None else depth_bound
+def tree_stats(tree: SearchTree) -> TreeStats:
+    """Counts, solution density over the leaves, and gap and run-length
+    descriptions of the left-to-right solution layout."""
+    bound = tree.depth_limit
     nodes = [n for n in tree.nodes if n.depth <= bound]
     per_level = [0] * (bound + 1)
     for n in nodes:

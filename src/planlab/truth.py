@@ -5,13 +5,13 @@ step adds it and no step in between deletes it.  Over a partial order a
 precondition is necessarily true when it is true in every linearization,
 necessarily false when it is true in none, and ambiguous otherwise.
 
-``modal_status`` decides the modality exactly.  It enumerates linear
-extensions, but of the subposet induced on the steps that can influence
-the proposition (its adders, its deleters, and the needing step): any
-linear extension of an induced subposet extends to a full linearization,
-so the projection loses nothing.  When the proposition has no deleters the
-modality follows directly from reachability.  ``modal_status_brute`` is
-the unoptimized all-linearizations oracle kept for cross-checking.
+``modal_status`` decides the modality exactly.  It applies the
+all-linearizations oracle ``modal_status_brute`` to the projection: the
+subposet induced on the steps that can influence the proposition (its
+adders, its deleters, and the needing step).  Any linear extension of an
+induced subposet extends to a full linearization, so the projection loses
+nothing.  When the proposition has no deleters the modality follows
+directly from reachability.
 
 Conditional effects are inert here: only the effective (unconditional)
 adds and deletes of a step influence truth.  A conditional effect starts
@@ -20,9 +20,10 @@ to matter once specialization promotes it into the unconditional sets.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .model import (
     FINAL_STEP,
@@ -86,29 +87,19 @@ def modal_status(plan: Plan, needer: int, c: str) -> ModalStatus:
         if any(not plan.before(needer, a) for a in adders):
             return ModalStatus.AMBIGUOUS
         return ModalStatus.NECESSARILY_FALSE
-    relevant = sorted(set(adders) | set(deleters) | {needer})
-    sub = restrict(plan, relevant)
-    seen_true = seen_false = False
-    for seq in linear_extensions(sub):
-        if true_in_sequence(sub, seq, needer, c):
-            seen_true = True
-        else:
-            seen_false = True
-        if seen_true and seen_false:
-            return ModalStatus.AMBIGUOUS
-    return ModalStatus.NECESSARILY_TRUE if seen_true else ModalStatus.NECESSARILY_FALSE
+    return modal_status_brute(restrict(plan, {*adders, *deleters, needer}), needer, c)
 
 
 def modal_status_brute(plan: Plan, needer: int, c: str) -> ModalStatus:
-    """All-linearizations oracle for `modal_status`; exponential, test use."""
+    """All-linearizations oracle for `modal_status`; exponential."""
     seen_true = seen_false = False
     for seq in linear_extensions(plan):
         if true_in_sequence(plan, seq, needer, c):
             seen_true = True
         else:
             seen_false = True
-    if seen_true and seen_false:
-        return ModalStatus.AMBIGUOUS
+        if seen_true and seen_false:
+            return ModalStatus.AMBIGUOUS
     return ModalStatus.NECESSARILY_TRUE if seen_true else ModalStatus.NECESSARILY_FALSE
 
 
@@ -222,22 +213,14 @@ def is_solution_plan(plan: Plan) -> bool:
     )
 
 
-def _label_subsets(labels: Iterable[int]) -> Iterable[tuple[int, ...]]:
-    import itertools
-
-    middles = [lab for lab in labels if lab not in (INIT_STEP, FINAL_STEP)]
-    for r in range(len(middles)):
-        for combo in itertools.combinations(middles, r):
-            yield (INIT_STEP, FINAL_STEP) + combo
-
-
 def is_compact_solution(plan: Plan) -> bool:
     """True iff the plan is a solution and no strict subplan (keeping the
     initial and final steps) is itself a solution."""
     if not is_solution_plan(plan):
         raise ValueError("compactness is only defined for solution plans")
-    for combo in _label_subsets(plan.labels):
-        sub = restrict(plan, combo)
-        if is_solution_plan(sub):
-            return False
+    middles = plan.middle_labels
+    for r in range(len(middles)):
+        for combo in itertools.combinations(middles, r):
+            if is_solution_plan(restrict(plan, (INIT_STEP, FINAL_STEP) + combo)):
+                return False
     return True

@@ -18,7 +18,7 @@ from planlab.cli import (
     main,
     run_experiment,
 )
-from planlab import cli, search
+from planlab import cli, oracle, search
 from planlab.domains import d1s1_problem, fixture, serialize_problem
 from planlab.model import PlanSizeError
 from planlab.oracle import OracleCeilingError
@@ -111,6 +111,24 @@ class TestSolve:
         assert code == EXIT_OK
 
 
+    def test_partially_ordered_solution_printed(self, capsys):
+        assert main(["solve", "fixture:fig4", "--planner", "ua", "--strategy", "bfs"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "steps: 2:helper_a 3:helper_b 4:wrecker 5:fixer\n" in out
+        assert "orderings: helper_a(2) < fixer(5), wrecker(4) < fixer(5)\n" in out
+
+    def test_trials_print_each_trial_and_the_mean(self, capsys):
+        argv = ["solve", "fixture:fig9", "--planner", "ua", "--strategy", "dfs", "--trials", "3"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("trial seed=")] == [
+            "trial seed=0: solved=True nodes=4 leaves=1",
+            "trial seed=1: solved=True nodes=5 leaves=2",
+            "trial seed=2: solved=True nodes=5 leaves=2",
+        ]
+        assert "mean nodes over 3 trials: 4.67\n" in out
+
+
 class TestVerify:
     def test_chain_domain_all_pass(self, tmp_path, capsys):
         path = tmp_path / "chain.plan"
@@ -157,6 +175,19 @@ class TestVerify:
         assert capsys.readouterr() == (
             "",
             "error: --mt runs the mt/to diagnostic and cannot be combined with --conditional\n",
+        )
+
+    def test_mt_with_dump_map_refused_before_enumeration(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "enumerate_tree", lambda *args: calls.append(args))
+        target = tmp_path / "map.json"
+        argv = ["verify", "fixture:fig17", "--mt", "--depth-limit", "4", "--dump-map", str(target)]
+        assert main(argv) == EXIT_USAGE
+        assert calls == []
+        assert not target.exists()
+        assert capsys.readouterr() == (
+            "",
+            "error: --mt builds no correspondence map and cannot be combined with --dump-map\n",
         )
 
 
@@ -241,6 +272,11 @@ class TestCeilings:
         monkeypatch.setattr(cli, "minimal_solution_length", raise_error)
         assert main(["solve", "fixture:fig9"]) == EXIT_CEILING
         assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_oracle_state_ceiling_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "STATE_CEILING", 2)
+        assert main(["solve", "fixture:sussman", "--depth-limit", "auto"]) == EXIT_CEILING
+        assert capsys.readouterr() == ("", "error: state-space search exceeded 2 states\n")
 
     @pytest.mark.parametrize("command", ["solve", "verify", "dump-tree"])
     @pytest.mark.parametrize("raw", ["0", "-2", "x"])
@@ -332,9 +368,9 @@ class TestExperiment:
     def test_rows_and_summary_written(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path)
         assert main(["experiment", cfg]) == EXIT_OK
-        rows = list(csv.DictReader((tmp_path / "rows.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "rows.csv").read_text().splitlines()))
         assert len(rows) == 2 * 4  # planners x trials
-        summary = list(csv.DictReader((tmp_path / "rows_summary.csv").open()))
+        summary = list(csv.DictReader((tmp_path / "rows_summary.csv").read_text().splitlines()))
         assert len(summary) == 2
 
     def test_row_count_formula(self, tmp_path):

@@ -94,12 +94,6 @@ class TestChainDomain:
         o1 = [op for op in prob.library if op.name == "o1"][0]
         assert o1.dels == frozenset()
 
-    def test_zero_marker_variant(self):
-        prob = d1s1_problem([1], zero_marker=True)
-        o1 = [op for op in prob.library if op.name == "o1"][0]
-        assert o1.dels == {"i0"}
-        assert "i0" in prob.init
-
     def test_index_validation(self):
         with pytest.raises(ValueError):
             d1s1_problem([])
@@ -234,3 +228,12 @@ end
         prob = Problem("odd", frozenset(), frozenset(["g"]), (make_op("n", adds=["x"]),))
         warnings = prob.lint()
         assert any("goal 'g'" in w for w in warnings)
+
+    def test_lint_warns_unreferenced_initial_proposition(self):
+        prob = Problem("odd", frozenset(["stray", "a"]), frozenset(["g"]), (make_op("n", pre=["a"], adds=["g"]),))
+        assert prob.lint() == ["initial proposition 'stray' is never referenced"]
+
+    def test_lint_counts_a_conditional_add_as_an_achiever(self):
+        op = make_op("n", cadds=[CondEffect(frozenset(["a"]), "g")])
+        prob = Problem("odd", frozenset(["a"]), frozenset(["g"]), (op,))
+        assert prob.lint() == []

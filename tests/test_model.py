@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planlab import model
 from planlab.model import (
     FINAL_STEP,
     INIT_STEP,
@@ -280,10 +281,11 @@ class TestExtend:
 
 
 class TestCeilings:
-    def test_linear_extension_count_ceiling(self):
+    def test_linear_extension_count_ceiling(self, monkeypatch):
+        monkeypatch.setattr(model, "EXTENSION_CEILING", 100)
         plan = plan_of(set(), middle=8)
-        with pytest.raises(PlanSizeError):
-            linear_extensions(plan, limit=100)
+        with pytest.raises(PlanSizeError, match="exceeded 100 sequences"):
+            linear_extensions(plan)
 
     def test_step_ceiling(self):
         plan = plan_of(set(), middle=35)

@@ -4,9 +4,12 @@ Hypothesis draws unconditional problems with at most three operators over
 four propositions and checks, at depth limits up to 3, the structural
 claims the hand-picked suite checks: the correspondence map is total and
 disjoint and partitions the total-order tree, the partial-order tree is
-no larger, and every partial-order node is unambiguous and has a unique
-last deleter for every precondition.  The examples are derandomized, so
-every run checks the same problems.
+no larger, every partial-order node is unambiguous and has a unique
+last deleter for every precondition, corresponding nodes have equal
+open-goal counts (the h-property), and breadth-first search with either
+planner solves at the state-space oracle's minimal length, and only then
+(completeness).  The examples are derandomized, so every run checks the
+same problems.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from planlab.model import Problem, make_op
+from planlab.oracle import minimal_solution_length
 from planlab.planners import make_planner
+from planlab.search import StrategyConfig, bfs
 from planlab.trees import (
     build_correspondence,
     enumerate_tree,
@@ -109,3 +114,29 @@ def test_every_ua_node_is_unambiguous(problem, depth):
         for entry in precondition_entries(node.plan):
             # raises AmbiguousLastDeleter on two unordered latest deleters
             last_deleter(node.plan, entry.condition, entry.needer)
+
+
+@EXAMPLES
+@given(problem=problems(), depth=st.sampled_from((3, 2, 1, 0)))
+@example(problem=TWO_INTERACTING, depth=3)
+def test_corresponding_nodes_have_equal_open_goal_counts(problem, depth):
+    tree_ua, tree_to = _trees(problem, depth)
+    cmap = build_correspondence(tree_ua, tree_to)
+    for node in tree_ua.nodes:
+        for to_id in cmap.image(node.id):
+            assert len(tree_to.node(to_id).goals) == len(node.goals), (node.id, to_id)
+
+
+@EXAMPLES
+@given(problem=problems())
+@example(problem=INDEPENDENT)
+@example(problem=TWO_INTERACTING)
+def test_bfs_solves_at_the_oracle_minimal_length(problem):
+    # Breadth-first search goes level by level and each extension adds one
+    # step, so within depth 3 it must solve exactly when the oracle's
+    # minimal length is at most 3, and at that length.
+    length = minimal_solution_length(problem)
+    expected = length if length is not None and length <= 3 else None
+    for kind in ("ua", "to"):
+        outcome = bfs(make_planner(kind, problem), StrategyConfig(strategy="bfs", depth_limit=3))
+        assert outcome.solution_length == expected, kind
