@@ -110,7 +110,6 @@ class TestSolve:
         code = main(["solve", "fixture:fig9", "--planner", "ua", "--strategy", "bfs"])
         assert code == EXIT_OK
 
-
     def test_partially_ordered_solution_printed(self, capsys):
         assert main(["solve", "fixture:fig4", "--planner", "ua", "--strategy", "bfs"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -7,9 +7,9 @@ disjoint and partitions the total-order tree, the partial-order tree is
 no larger, every partial-order node is unambiguous and has a unique
 last deleter for every precondition, corresponding nodes have equal
 open-goal counts (the h-property), and breadth-first search with either
-planner solves at the state-space oracle's minimal length, and only then
-(completeness).  The examples are derandomized, so every run checks the
-same problems.
+planner solves within depth 3 exactly when the state-space oracle's
+minimal length is at most 3, and at that length (completeness).  The
+examples are derandomized, so every run checks the same problems.
 """
 
 from __future__ import annotations
