@@ -47,7 +47,6 @@ from .search import (
     dfs,
     iterative_broadening,
     iterative_sampling,
-    mean_probes_until_solution,
     min_goals_rating,
     rank_children,
     run_search,

@@ -472,7 +472,8 @@ def serialize_problem(problem: Problem) -> str:
 # -- the standard 44-problem suite --------------------------------------
 
 #: (length_class, n_blocks, seed) for each suite member; regenerated by
-#: `find_suite_entries`, committed so the suite is stable.
+#: `find_suite_entries` in `tests/helpers.py`, committed so the suite is
+#: stable.
 SUITE_ENTRIES: tuple[tuple[int, int, int], ...] = (
     (1, 2, 0),
     (1, 3, 0),
@@ -520,24 +521,6 @@ SUITE_ENTRIES: tuple[tuple[int, int, int], ...] = (
     (4, 4, 882),
 )
 
-SUITE_CLASSES = (1, 2, 3, 4)
-SUITE_PER_CLASS = 11
-
-# Per-class admission budgets, measured with fixed probe seeds: total-order
-# breadth-first nodes to the first solution, mean depth-first nodes over
-# three probe trials, and mean sampling iterations over two probe trials.
-# They keep the committed suite's 25-trial experiment matrices desk-scale;
-# minimal length 5 is excluded outright: random depth-5 probes need several
-# thousand iterations per solution in this encoding, which prices the
-# sampling experiments out of test scale.
-_SUITE_BUDGETS = {
-    1: (60, 40, 30),
-    2: (500, 400, 60),
-    3: (1_500, 900, 90),
-    4: (6_000, 2_000, 150),
-}
-
-
 def suite_problem(entry: tuple[int, int, int]) -> Problem:
     _, n_blocks, seed = entry
     return blocksworld_problem(BlocksworldSpec(n_blocks=n_blocks, seed=seed))
@@ -546,70 +529,3 @@ def suite_problem(entry: tuple[int, int, int]) -> Problem:
 def standard_suite() -> list[tuple[int, Problem]]:
     """The committed 44-problem suite as (length_class, problem) pairs."""
     return [(entry[0], suite_problem(entry)) for entry in SUITE_ENTRIES]
-
-
-def _fits_budget(problem: Problem, length: int) -> bool:
-    from .planners import make_planner
-    from .search import StrategyConfig, run_trials
-    from .trees import TreeCeilingError, enumerate_tree
-
-    bfs_cap, dfs_cap, isamp_cap = _SUITE_BUDGETS[length]
-
-    def probe(**fields) -> list:
-        cfg = StrategyConfig(depth_limit=length, **fields)
-        return run_trials(lambda _seed: make_planner("to", problem), cfg)
-
-    try:
-        # cheapest probe first: random sampling rejects most oversized candidates
-        samples = probe(strategy="isamp", seed=2000, trials=2, max_iterations=2 * isamp_cap)
-        if not all(o.solved for o in samples) or sum(o.iterations for o in samples) > 2 * isamp_cap:
-            return False
-        dives = probe(strategy="dfs", seed=1000, trials=3, node_ceiling=3 * dfs_cap)
-        if not all(o.solved for o in dives) or sum(o.nodes_expanded for o in dives) > 3 * dfs_cap:
-            return False
-        if not probe(strategy="bfs", node_ceiling=bfs_cap)[0].solved:
-            return False
-    except TreeCeilingError:
-        return False
-    if length >= 2:
-        # the suite should exercise real ordering freedom: beyond length 1,
-        # admit only problems whose partial-order tree is strictly smaller
-        try:
-            to_tree = enumerate_tree(make_planner("to", problem), length, 6 * bfs_cap)
-            ua_tree = enumerate_tree(make_planner("ua", problem), length, 6 * bfs_cap)
-        except TreeCeilingError:
-            return False
-        return len(ua_tree) < len(to_tree)
-    return True
-
-
-def find_suite_entries(
-    per_class: int = SUITE_PER_CLASS,
-    classes: tuple[int, ...] = SUITE_CLASSES,
-    seed_limit: int = 20_000,
-) -> tuple[tuple[int, int, int], ...]:
-    """Deterministically rebuild the suite seed list.
-
-    Seeds are scanned in order; a candidate joins the first unfilled class
-    matching its oracle minimal length, provided search-cost probes stay
-    within the class budget (keeps the experiment matrix desk-scale).
-    """
-    from .oracle import minimal_solution_length
-
-    filled: dict[int, list[tuple[int, int, int]]] = {c: [] for c in classes}
-    for seed in range(seed_limit):
-        if all(len(v) >= per_class for v in filled.values()):
-            break
-        for n_blocks in (2, 3, 4):
-            problem = blocksworld_problem(BlocksworldSpec(n_blocks=n_blocks, seed=seed))
-            length = minimal_solution_length(problem)
-            if length not in filled or len(filled[length]) >= per_class:
-                continue
-            if _fits_budget(problem, length):
-                filled[length].append((length, n_blocks, seed))
-    if any(len(v) < per_class for v in filled.values()):
-        raise RuntimeError("seed scan exhausted before filling every class")
-    out: list[tuple[int, int, int]] = []
-    for c in classes:
-        out.extend(filled[c])
-    return tuple(out)

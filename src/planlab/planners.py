@@ -41,7 +41,10 @@ Planner kinds and their ordering stages:
 ``mt``   deferred ordering driven by exact modal truth: establishers may
          be existing steps or fresh instances, threats are resolved one at
          a time by demotion or white-knight protection, and children may
-         be ambiguous.
+         be ambiguous.  Goal updating asks ``modal_status`` about every
+         precondition with the planner's own memo, which lives as long as
+         the planner: a child repeats almost every projection its parent
+         had, so most answers are read back, not enumerated.
 
 Every child carries a ``ChildCost``: ``step4_edge_visits`` counts
 graph-edge traversals during ordering selection and ``step5_visits``
@@ -508,11 +511,16 @@ class ModalTruthPlanner(Planner):
 
     kind = "mt"
 
+    def __init__(self, problem: Problem, config: Optional[PlannerConfig] = None):
+        super().__init__(problem, config)
+        self._modal_memo: dict[tuple, ModalStatus] = {}
+
     def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
         return tuple(
             e
             for e in precondition_entries(plan)
-            if modal_status(plan, e.needer, e.condition) is not ModalStatus.NECESSARILY_TRUE
+            if modal_status(plan, e.needer, e.condition, self._modal_memo)
+            is not ModalStatus.NECESSARILY_TRUE
         )
 
     def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:

@@ -315,19 +315,3 @@ def run_trials(
         planner = make_planner(trial_seed)
         outcomes.append(run_search(planner, replace(cfg, seed=trial_seed)))
     return outcomes
-
-
-def mean_probes_until_solution(
-    leaves: int, solutions: int, runs: int, seed: int = 0
-) -> float:
-    """Monte Carlo estimate of how many distinct leaves a uniform scan
-    inspects before hitting a solution, averaged over `runs` shuffles."""
-    if not 0 < solutions <= leaves:
-        raise ValueError("need 0 < solutions <= leaves")
-    rng = random.Random(seed)
-    arr = [True] * solutions + [False] * (leaves - solutions)
-    total = 0
-    for _ in range(runs):
-        rng.shuffle(arr)
-        total += arr.index(True) + 1
-    return total / runs

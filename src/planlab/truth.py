@@ -13,6 +13,11 @@ induced subposet extends to a full linearization, so the projection loses
 nothing.  When the proposition has no deleters the modality follows
 directly from reachability.
 
+A caller that asks about many related plans may pass a memo dict, which
+``modal_status`` keys on the projection's roles and order alone (see its
+docstring); the ``mt`` planner keeps one per planner, so a child's goal
+update reuses the projections it shares with its ancestors and siblings.
+
 Conditional effects are inert here: only the effective (unconditional)
 adds and deletes of a step influence truth.  A conditional effect starts
 to matter once specialization promotes it into the unconditional sets.
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal, Sequence
+from typing import Literal, Optional, Sequence
 
 from .model import (
     FINAL_STEP,
@@ -78,8 +83,21 @@ def _adders_and_deleters(plan: Plan, needer: int, c: str) -> tuple[list[int], li
     return adders, deleters
 
 
-def modal_status(plan: Plan, needer: int, c: str) -> ModalStatus:
-    """Exact modality of precondition c at step `needer`."""
+def modal_status(
+    plan: Plan, needer: int, c: str, memo: Optional[dict[tuple, ModalStatus]] = None
+) -> ModalStatus:
+    """Exact modality of precondition c at step `needer`.
+
+    `memo`, when given, maps projection keys to statuses decided earlier
+    and receives every status this call enumerates.  The key is the
+    needer, the adders, the deleters and the closure pairs among them.
+    That is all the enumeration reads: the linear extensions depend only
+    on the labels and the pairs, and ``true_in_sequence`` only on whether
+    each step before the needer adds or deletes c.  So equal keys have
+    equal statuses whatever the plan, the proposition or the operators
+    behind the labels.  A hit builds no projection and enumerates nothing.
+    Without a memo the call restricts and enumerates every time.
+    """
     adders, deleters = _adders_and_deleters(plan, needer, c)
     if not deleters:
         if any(plan.before(a, needer) for a in adders):
@@ -87,7 +105,20 @@ def modal_status(plan: Plan, needer: int, c: str) -> ModalStatus:
         if any(not plan.before(needer, a) for a in adders):
             return ModalStatus.AMBIGUOUS
         return ModalStatus.NECESSARILY_FALSE
-    return modal_status_brute(restrict(plan, {*adders, *deleters, needer}), needer, c)
+    labels = {*adders, *deleters, needer}
+    if memo is None:
+        return modal_status_brute(restrict(plan, labels), needer, c)
+    after = plan.after_sets
+    key = (
+        needer,
+        tuple(adders),
+        tuple(deleters),
+        frozenset((a, b) for a in labels for b in after[a] if b in labels),
+    )
+    status = memo.get(key)
+    if status is None:
+        status = memo[key] = modal_status_brute(restrict(plan, labels), needer, c)
+    return status
 
 
 def modal_status_brute(plan: Plan, needer: int, c: str) -> ModalStatus:

@@ -29,7 +29,6 @@ from planlab.search import (
     bfs,
     dfs,
     iterative_sampling,
-    mean_probes_until_solution,
 )
 from planlab.trees import (
     build_correspondence,
@@ -41,6 +40,8 @@ from planlab.trees import (
     verify_totality,
 )
 from planlab.truth import is_unambiguous_brute, last_deleter, steps_interact
+
+from helpers import mean_probes_until_solution
 
 pytestmark = pytest.mark.acceptance
 

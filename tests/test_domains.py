@@ -121,7 +121,8 @@ class TestSuite:
 
     def test_finder_regenerates_prefix(self):
         # full regeneration is slow; one cheap class guards determinism
-        from planlab.domains import SUITE_ENTRIES, find_suite_entries
+        from helpers import find_suite_entries
+        from planlab.domains import SUITE_ENTRIES
 
         regenerated = find_suite_entries(per_class=3, classes=(2,), seed_limit=50)
         committed = tuple(e for e in SUITE_ENTRIES if e[0] == 2)[:3]

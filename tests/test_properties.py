@@ -8,8 +8,11 @@ no larger, every partial-order node is unambiguous and has a unique
 last deleter for every precondition, corresponding nodes have equal
 open-goal counts (the h-property), and breadth-first search with either
 planner solves within depth 3 exactly when the state-space oracle's
-minimal length is at most 3, and at that length (completeness).  The
-examples are derandomized, so every run checks the same problems.
+minimal length is at most 3, and at that length (completeness).  Every
+``mt`` node's goals are checked against the all-linearizations oracle.
+Half the problems are built along a walk of operators, so many need two
+or three steps; a floor on those is checked too.  The examples are
+derandomized, so every run checks the same problems.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from planlab.trees import (
     verify_partition,
     verify_totality,
 )
-from planlab.truth import is_unambiguous_brute, last_deleter, precondition_entries
+from planlab.truth import (
+    ModalStatus,
+    is_unambiguous_brute,
+    last_deleter,
+    modal_status_brute,
+    precondition_entries,
+)
 
 PROPS = ("a", "b", "c", "d")
 SUBSETS = st.integers(0, 2 ** len(PROPS) - 1).map(
@@ -46,7 +55,7 @@ def operators(draw, name: str):
 
 
 @st.composite
-def problems(draw) -> Problem:
+def free_problems(draw) -> Problem:
     """A library of one to three operators; every goal is added by some
     operator and at least one goal is false initially."""
     library = tuple(draw(operators(f"o{i}")) for i in range(draw(st.sampled_from((3, 2, 1)))))
@@ -54,6 +63,37 @@ def problems(draw) -> Problem:
     init = draw(SUBSETS)
     assume(goals and not goals <= init)
     return Problem(name="generated", init=init, goals=goals, library=library)
+
+
+@st.composite
+def chained_problems(draw) -> Problem:
+    """One to three operators built along a walk from an initial state of at
+    most one proposition.  Each operator is applicable where the walk has
+    got to, needs a proposition its predecessor newly added, and adds one
+    that is not yet true; the goals include what the last one newly added.
+    The walk solves the problem, and often no shorter plan does."""
+    init = frozenset(draw(st.sets(st.sampled_from(PROPS), max_size=1)))
+    state, library, new = init, [], frozenset()
+    for i in range(draw(st.sampled_from((3, 2, 1)))):
+        pre = draw(SUBSETS) & state
+        if new:
+            pre |= {draw(st.sampled_from(sorted(new)))}
+        dels = draw(SUBSETS) & pre
+        adds = (draw(SUBSETS) - dels) | {draw(st.sampled_from(sorted(set(PROPS) - state)))}
+        library.append(make_op(f"o{i}", pre, adds, dels))
+        new = adds - state
+        state = (state - dels) | adds
+        if state == set(PROPS):
+            break
+    goals = new | (draw(SUBSETS) & state)
+    assume(not goals <= init)
+    return Problem(name="generated", init=init, goals=goals, library=tuple(library))
+
+
+def problems() -> st.SearchStrategy[Problem]:
+    """Free libraries, about half unsolvable, and chained ones that need
+    two or three steps more often than not."""
+    return st.one_of(free_problems(), chained_problems())
 
 
 # Two steps that never interact, so the ua tree is strictly smaller than the
@@ -119,6 +159,21 @@ def test_every_ua_node_is_unambiguous(problem, depth):
 @EXAMPLES
 @given(problem=problems(), depth=st.sampled_from((3, 2, 1, 0)))
 @example(problem=TWO_INTERACTING, depth=3)
+def test_every_mt_goal_set_is_the_brute_not_necessarily_true_entries(problem, depth):
+    # one planner, so one modal-truth memo, serves the whole tree
+    tree_mt = enumerate_tree(make_planner("mt", problem), depth)
+    for node in tree_mt.nodes:
+        plan = node.plan
+        assert node.goals == tuple(
+            e
+            for e in precondition_entries(plan)
+            if modal_status_brute(plan, e.needer, e.condition) is not ModalStatus.NECESSARILY_TRUE
+        ), node.id
+
+
+@EXAMPLES
+@given(problem=problems(), depth=st.sampled_from((3, 2, 1, 0)))
+@example(problem=TWO_INTERACTING, depth=3)
 def test_corresponding_nodes_have_equal_open_goal_counts(problem, depth):
     tree_ua, tree_to = _trees(problem, depth)
     cmap = build_correspondence(tree_ua, tree_to)
@@ -140,3 +195,19 @@ def test_bfs_solves_at_the_oracle_minimal_length(problem):
     for kind in ("ua", "to"):
         outcome = bfs(make_planner(kind, problem), StrategyConfig(strategy="bfs", depth_limit=3))
         assert outcome.solution_length == expected, kind
+
+
+def test_problems_include_longer_solvable_ones():
+    # The properties above say little about ordering on problems that one
+    # step solves; the strategy must keep drawing problems that need more.
+    lengths = []
+
+    @EXAMPLES
+    @given(problem=problems())
+    def draw(problem):
+        lengths.append(minimal_solution_length(problem))
+
+    draw()
+    assert len(lengths) == 150
+    assert sum(1 for n in lengths if n is not None and n >= 2) >= 25
+    assert lengths.count(3) >= 5

@@ -20,13 +20,14 @@ from planlab.search import (
     dfs,
     iterative_broadening,
     iterative_sampling,
-    mean_probes_until_solution,
     min_goals_rating,
     rank_children,
     run_search,
     run_trials,
 )
 from planlab.trees import TreeCeilingError, _Tally
+
+from helpers import mean_probes_until_solution
 
 
 def empty_goal_problem():

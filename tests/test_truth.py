@@ -18,6 +18,7 @@ from planlab.model import (
     restrict,
 )
 from planlab.planners import make_planner
+from planlab.trees import enumerate_tree
 from planlab.truth import (
     AmbiguousLastDeleter,
     GoalEntry,
@@ -146,6 +147,79 @@ class TestModalStatus:
             assert modal_status(plan, entry.needer, entry.condition) is (
                 modal_status_brute(plan, entry.needer, entry.condition)
             )
+
+
+class TestModalMemo:
+    """`modal_status` with a memo shared across plans answers as the
+    all-linearizations oracle does on each full plan."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 100_000), min_size=1, max_size=30))
+    def test_shared_memo_matches_brute(self, seeds):
+        # Labels 2.. recur across the plans for other operators in other
+        # roles; the second pass answers projections from the memo.
+        plans = [random_plan(random.Random(seed), max_middle=5) for seed in seeds]
+        memo: dict = {}
+        for plan in plans + plans:
+            for entry in precondition_entries(plan):
+                assert modal_status(plan, entry.needer, entry.condition, memo) is (
+                    modal_status_brute(plan, entry.needer, entry.condition)
+                )
+
+    def test_repeated_labels_in_other_roles(self):
+        # Each plan has steps 2 and 3 ordered 2 < 3 and step 2 is always
+        # "op"; only what step 2 and step 3 do to p differs.
+        cases = [
+            ((("p",), ()), ((), ("p",)), ModalStatus.NECESSARILY_FALSE),
+            (((), ("p",)), (("p",), ()), ModalStatus.NECESSARILY_TRUE),
+            (((), ("p",)), (("p",), ("p",)), ModalStatus.NECESSARILY_TRUE),
+            (((), ("p",)), ((), ("p",)), ModalStatus.NECESSARILY_FALSE),
+        ]
+        memo: dict = {}
+        for (adds2, dels2), (adds3, dels3), expected in cases + cases:
+            plan = build(
+                {
+                    INIT_STEP: ("#init", (), (), ()),
+                    FINAL_STEP: ("#goal", ("p",), (), ()),
+                    2: ("op", (), adds2, dels2),
+                    3: ("op3", (), adds3, dels3),
+                },
+                {(2, 3)},
+            )
+            assert modal_status_brute(plan, FINAL_STEP, "p") is expected
+            assert modal_status(plan, FINAL_STEP, "p", memo) is expected
+        assert len(memo) == len(cases)
+
+    def test_hit_neither_restricts_nor_enumerates(self, monkeypatch):
+        import planlab.truth as truth
+
+        memo: dict = {}
+        plan = two_step_ambiguous()
+        assert modal_status(plan, FINAL_STEP, "p", memo) is ModalStatus.AMBIGUOUS
+
+        def refuse(*args):
+            raise AssertionError("a memo hit must not rebuild the projection")
+
+        monkeypatch.setattr(truth, "restrict", refuse)
+        monkeypatch.setattr(truth, "linear_extensions", refuse)
+        # an unrelated extra step leaves the projection, and so the key, alone
+        wider = build(
+            {
+                **{s.label: (s.name, s.pre, s.adds, s.dels) for s in plan.steps},
+                4: ("idle", (), ("q",), ()),
+            },
+            plan.order,
+        )
+        assert modal_status(wider, FINAL_STEP, "p", memo) is ModalStatus.AMBIGUOUS
+
+    @pytest.mark.parametrize("name", ["fig17", "sussman"])
+    def test_mt_goal_sets_equal_with_fresh_and_reused_memo(self, name):
+        # fig17 has no deleters, so it pins the closure-only path; sussman's
+        # depth-4 tree answers most of its projections from the memo.
+        problem = fixture(name)
+        tree = enumerate_tree(make_planner("mt", problem), 4)
+        for node in tree.nodes:
+            assert make_planner("mt", problem).goal_set(node.plan) == node.goals, node.id
 
 
 class TestLastDeleter:
