@@ -40,6 +40,7 @@ from .oracle import OracleCeilingError, minimal_solution_length
 from .planners import PLANNERS, PlannerConfig, make_planner
 from .search import HEURISTICS, STRATEGIES, StrategyConfig, run_trials
 from .trees import (
+    NODE_CEILING,
     TreeCeilingError,
     build_correspondence,
     enumerate_tree,
@@ -80,10 +81,7 @@ def _resolve_depth(problem: Problem, raw: str) -> int:
         if length is None:
             raise ValueError(f"problem {problem.name} is unsolvable; give an explicit depth limit")
         return length
-    depth = int(raw)
-    if depth < 0:
-        raise ValueError(f"depth limit must be >= 0, not {raw!r}")
-    return depth
+    return int(raw)
 
 
 def _check_writable(path: Path) -> None:
@@ -236,7 +234,7 @@ class ExperimentConfig:
     trials: int = 25
     base_seed: int = 0
     depth_limit: str = "auto"
-    max_iterations: int = 100_000
+    max_iterations: int = StrategyConfig.max_iterations
     output: str = "experiment.csv"
     format: str = "csv"
 
@@ -464,14 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth-limit", default="auto", help="integer or 'auto' (state-space oracle)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--seeded-goals", action="store_true", help="seeded goal selection instead of first-goal")
-        p.add_argument("--node-ceiling", type=_positive_int, help="default: $PLANLAB_NODE_CEILING or 1000000")
+        p.add_argument("--node-ceiling", type=_positive_int, help=f"nodes one run may visit (default: {NODE_CEILING})")
 
     p_solve = sub.add_parser("solve", help="solve one problem")
     p_solve.add_argument("problem", help="problem file path or fixture:<name>")
     p_solve.add_argument("--planner", choices=sorted(PLANNERS), default="ua")
     p_solve.add_argument("--strategy", choices=STRATEGIES, default="bfs")
     p_solve.add_argument("--heuristic", choices=HEURISTICS, default="none")
-    p_solve.add_argument("--max-iterations", type=int, default=100_000)
+    p_solve.add_argument("--max-iterations", type=int, default=StrategyConfig.max_iterations)
     p_solve.add_argument("--trials", type=int, default=1, help="independent seeded runs (seed+i)")
     add_common(p_solve)
     p_solve.set_defaults(fn=cmd_solve)

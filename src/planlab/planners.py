@@ -194,6 +194,10 @@ class PlannerConfig:
     goal_selection: str = "deterministic"  # or "seeded"
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.goal_selection not in ("deterministic", "seeded"):
+            raise ValueError(f"unknown goal selection {self.goal_selection!r}")
+
 
 def _add_edges(
     preds: dict[int, tuple[int, ...]],

@@ -55,13 +55,16 @@ _IGNORED_HEURISTICS = {
 
 @dataclass(frozen=True)
 class StrategyConfig:
+    """One search's settings.  The depth limit and the node ceiling are
+    checked when the run starts, by `trees._Tally`; the rest here."""
+
     strategy: str = "dfs"
     depth_limit: int = 0
     max_iterations: int = 100_000
     heuristic: str = "none"
     seed: int = 0
     trials: int = 1
-    node_ceiling: Optional[int] = None  # unset: default_node_ceiling()
+    node_ceiling: Optional[int] = None  # unset: trees.NODE_CEILING
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -70,12 +73,10 @@ class StrategyConfig:
             raise ValueError(f"unknown heuristic {self.heuristic!r}")
         if self.heuristic in _IGNORED_HEURISTICS[self.strategy]:
             raise ValueError(f"strategy {self.strategy!r} ignores heuristic {self.heuristic!r}")
-        if self.depth_limit < 0 or self.trials < 1:
-            raise ValueError("depth_limit must be >= 0 and trials >= 1")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, not {self.trials}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, not {self.max_iterations}")
-        if self.node_ceiling is not None and self.node_ceiling < 1:
-            raise ValueError("node_ceiling must be >= 1")
 
 
 @dataclass(frozen=True)

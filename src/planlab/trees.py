@@ -18,7 +18,6 @@ the map would otherwise surface.
 
 from __future__ import annotations
 
-import os
 import statistics
 from dataclasses import dataclass, field
 from typing import Optional
@@ -27,21 +26,7 @@ from .model import FINAL_STEP, INIT_STEP, Plan, Problem, is_linearization, linea
 from .planners import ChildCost, Planner
 from .truth import GoalEntry
 
-DEFAULT_NODE_CEILING = 1_000_000
-
-
-def default_node_ceiling() -> int:
-    """The node ceiling set by ``PLANLAB_NODE_CEILING``, else the default."""
-    raw = os.environ.get("PLANLAB_NODE_CEILING")
-    if raw is None:
-        return DEFAULT_NODE_CEILING
-    try:
-        ceiling = int(raw)
-    except ValueError:
-        ceiling = 0
-    if ceiling < 1:
-        raise ValueError(f"PLANLAB_NODE_CEILING must be a positive integer, not {raw!r}")
-    return ceiling
+NODE_CEILING = 1_000_000
 
 
 class TreeCeilingError(RuntimeError):
@@ -56,15 +41,19 @@ class TreeCeilingError(RuntimeError):
 
 class _Tally:
     """Node, leaf and per-depth visit counts of one search or enumeration,
-    bounded by the node ceiling (unset: `default_node_ceiling()`)."""
+    and the one home of its bounds: the depth limit and the node ceiling
+    (unset: `NODE_CEILING`, read when the run starts), both checked before
+    the first node."""
 
     def __init__(self, depth_limit: int, node_ceiling: Optional[int] = None):
+        self.ceiling = NODE_CEILING if node_ceiling is None else node_ceiling
         if depth_limit < 0:
-            raise ValueError("depth_limit must be >= 0")
+            raise ValueError(f"depth_limit must be >= 0, not {depth_limit}")
+        if self.ceiling < 1:
+            raise ValueError(f"node_ceiling must be >= 1, not {self.ceiling}")
         self.nodes = 0
         self.leaves = 0
         self.levels = [0] * (depth_limit + 1)
-        self.ceiling = default_node_ceiling() if node_ceiling is None else node_ceiling
         self.max_width = 0  # widest child list seen, for iterative broadening
 
     def visit(self, depth: int) -> None:
@@ -109,7 +98,8 @@ def enumerate_tree(
     planner: Planner, depth_limit: int, node_ceiling: Optional[int] = None
 ) -> SearchTree:
     """The complete derivation tree to `depth_limit`, preorder ids; the
-    ceiling defaults to `default_node_ceiling()`."""
+    ceiling defaults to `NODE_CEILING`.  Bad bounds raise `ValueError`
+    before the first node."""
     tally = _Tally(depth_limit, node_ceiling)
     tree = SearchTree(
         problem=planner.problem, planner_kind=planner.kind, depth_limit=depth_limit

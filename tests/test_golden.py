@@ -53,8 +53,7 @@ SAMPLE = {
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_sampled_round0_counters_match_golden(workload, monkeypatch):
-    monkeypatch.delenv("PLANLAB_NODE_CEILING", raising=False)
+def test_sampled_round0_counters_match_golden(workload):
     setup = workloads.build(workload, workloads.DEFAULT_SEED)
     tasks = {task.key: task for task in setup.round0}
     golden = GOLDEN[workload]

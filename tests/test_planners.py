@@ -592,6 +592,11 @@ class TestGoalSelection:
         }
         assert len(chosen) > 1
 
+    @pytest.mark.parametrize("mode", ["seded", "Seeded", "random", ""])
+    def test_unknown_mode_refused(self, mode):
+        with pytest.raises(ValueError, match=f"unknown goal selection {mode!r}"):
+            PlannerConfig(goal_selection=mode, seed=5)
+
 
 class TestChildPlans:
     """A child's preset or inherited order caches (``to`` chains, ``ua``

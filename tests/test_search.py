@@ -25,7 +25,8 @@ from planlab.search import (
     run_search,
     run_trials,
 )
-from planlab.trees import TreeCeilingError, _Tally
+from planlab import trees
+from planlab.trees import TreeCeilingError, _Tally, enumerate_tree
 
 from helpers import mean_probes_until_solution
 
@@ -400,16 +401,52 @@ class TestNodeCeiling:
             run_search(make_planner("ua", prob), replace(cfg, node_ceiling=free.nodes_expanded - 1))
         assert exc.value.count == exc.value.ceiling == free.nodes_expanded - 1
 
-    def test_unset_ceiling_is_the_environment_default(self, monkeypatch):
-        monkeypatch.setenv("PLANLAB_NODE_CEILING", "3")
+    def test_unset_ceiling_is_the_module_default(self, monkeypatch):
+        monkeypatch.setattr(trees, "NODE_CEILING", 3)
         cfg = StrategyConfig(strategy="bfs", depth_limit=3)
         with pytest.raises(TreeCeilingError) as exc:
             run_search(make_planner("ua", fixture("sussman")), cfg)
         assert exc.value.count == exc.value.ceiling == 3
 
-    def test_ceiling_must_be_positive(self):
-        with pytest.raises(ValueError):
-            StrategyConfig(node_ceiling=0)
+    @pytest.mark.parametrize("ceiling", [0, -1])
+    def test_ceiling_must_be_positive(self, ceiling):
+        cfg = StrategyConfig(strategy="bfs", depth_limit=3, node_ceiling=ceiling)
+        with pytest.raises(ValueError, match=f"node_ceiling must be >= 1, not {ceiling}"):
+            run_search(make_planner("ua", fixture("sussman")), cfg)
+
+    @pytest.mark.parametrize(
+        "depth, ceiling, message",
+        [
+            (3, 0, "node_ceiling must be >= 1, not 0"),
+            (3, -1, "node_ceiling must be >= 1, not -1"),
+            (-1, None, "depth_limit must be >= 0, not -1"),
+        ],
+    )
+    @pytest.mark.parametrize("run", [*STRATEGIES, "enumerate_tree"])
+    def test_bad_bounds_refused_before_the_first_node(self, run, depth, ceiling, message):
+        planner = make_planner("ua", fixture("sussman"))
+        calls = []
+
+        def spy(name, method):
+            def record(plan):
+                calls.append(name)
+                return method(plan)
+
+            return record
+
+        for name in ("children", "goal_set"):
+            setattr(planner, name, spy(name, getattr(planner, name)))
+
+        def start(depth, ceiling):
+            if run == "enumerate_tree":
+                return enumerate_tree(planner, depth, ceiling)
+            return run_search(planner, StrategyConfig(strategy=run, depth_limit=depth, node_ceiling=ceiling))
+
+        with pytest.raises(ValueError, match=message):
+            start(depth, ceiling)
+        assert calls == []
+        start(3, None)  # the spies see a run with good bounds
+        assert {"children", "goal_set"} <= set(calls)
 
     @pytest.mark.parametrize("max_iterations", [0, -1])
     def test_max_iterations_must_be_positive(self, max_iterations):
