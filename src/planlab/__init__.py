@@ -15,7 +15,6 @@ from .model import (
     Problem,
     Step,
     cond,
-    equivalent,
     extend,
     initial_plan,
     is_linearization,
@@ -27,7 +26,6 @@ from .truth import (
     AmbiguousLastDeleter,
     GoalEntry,
     ModalStatus,
-    is_compact_solution,
     is_solution_plan,
     is_unambiguous,
     last_deleter,

@@ -5,14 +5,12 @@ A plan is an immutable value: a set of uniquely labeled steps plus a set of
 direct ordering edges over step labels.  Label 0 is always the initial step
 (it adds the problem's initial state) and label 1 the final step (its
 preconditions are the problem's goals); further steps are labeled 2, 3, ...
-in derivation order.  Relational queries (before/after, linearization,
-equivalence) are answered on the transitive closure of the edge set, which
-is computed lazily and cached per plan.
+in derivation order.  Relational queries (before/after, linearization) are
+answered on the transitive closure of the edge set, which is computed
+lazily and cached per plan.
 
 Plans compare by identity, not by field value: two nodes of a search tree
-may carry structurally identical plans and must stay distinct.  Structural
-comparison is `equivalent`, which matches plans up to a relabeling
-bijection.
+may carry structurally identical plans and must stay distinct.
 """
 
 from __future__ import annotations
@@ -29,8 +27,8 @@ FINAL_STEP = 1
 INIT_NAME = "#init"
 FINAL_NAME = "#goal"
 
-# Brute-force relational checks (equivalence, linearization checks and
-# enumeration) are exponential in plan size; refuse loudly rather than stall.
+# Brute-force relational checks (linearization checks and enumeration) are
+# exponential in plan size; refuse loudly rather than stall.
 STEP_CEILING = 32
 EXTENSION_CEILING = 1_000_000
 
@@ -138,8 +136,8 @@ class Step:
 
     @cached_property
     def signature(self) -> tuple:
-        """Hashable identity used by equivalence: same operator, identical
-        effective fields and identical marks."""
+        """Hashable identity used by linearization checks: same operator,
+        identical effective fields and identical marks."""
         cadds = tuple(
             sorted(
                 (tuple(sorted(ce.deps)), ce.effect, i in self.marked)
@@ -369,13 +367,6 @@ def linear_extensions(plan: Plan) -> list[tuple[int, ...]]:
     return out
 
 
-def _signature_groups(plan: Plan) -> dict[tuple, list[int]]:
-    groups: dict[tuple, list[int]] = {}
-    for s in plan.steps:
-        groups.setdefault(s.signature, []).append(s.label)
-    return groups
-
-
 def is_linearization(total: Plan, plan: Plan) -> bool:
     """True iff `total` is a totally ordered plan whose steps correspond
     one-to-one (same operator, same effective fields) to `plan`'s steps in a
@@ -420,47 +411,6 @@ def is_linearization(total: Plan, plan: Plan) -> bool:
         return False
 
     return place(0)
-
-
-def equivalent(p1: Plan, p2: Plan) -> bool:
-    """Plan equivalence: a bijection between steps mapping each step to one
-    with an identical signature and preserving the order relation in both
-    directions."""
-    if len(p1.steps) != len(p2.steps):
-        return False
-    g1 = _signature_groups(p1)
-    g2 = _signature_groups(p2)
-    if set(g1) != set(g2) or any(len(g1[k]) != len(g2[k]) for k in g1):
-        return False
-    _check_size(p1, "equivalence check")
-
-    labels1 = [s.label for s in p1.steps]
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def assign(i: int) -> bool:
-        if i == len(labels1):
-            return True
-        a = labels1[i]
-        sig = p1.by_label[a].signature
-        for b in g2[sig]:
-            if b in used:
-                continue
-            ok = True
-            for a0, b0 in mapping.items():
-                if p1.before(a, a0) != p2.before(b, b0) or p1.before(a0, a) != p2.before(b0, b):
-                    ok = False
-                    break
-            if ok:
-                mapping[a] = b
-                used.add(b)
-                if assign(i + 1):
-                    return True
-                del mapping[a]
-                used.discard(b)
-        return False
-
-    return assign(0)
 
 
 def restrict(plan: Plan, labels: Iterable[int]) -> Plan:

@@ -4,7 +4,13 @@ Every planner here maps a plan to its complete, deterministically ordered
 list of child plans.  They all share the same pipeline, differing only in
 how a child is ordered and which goals count as open:
 
-  1. termination check   (``children`` refuses solved plans)
+  1. termination check   (``children`` refuses solved plans;
+                         ``is_solution`` reads a cached goal set, and
+                         otherwise decides a derived plan without one:
+                         ``to``/``toc`` simulate the plan's sequence and
+                         ``ua``/``uac`` one linearization, each stopping at
+                         the first false precondition; ``mt`` and every
+                         depth-0 plan compute the goal set)
   2. goal selection      (first open goal, or a seeded choice)
   3. operator selection  (library operators that add the selected goal)
   4. ordering selection  (planner specific, instrumented): one recipe
@@ -14,8 +20,9 @@ how a child is ordered and which goals count as open:
                          every child at once
   5. goal updating       (the child's open goals, lazy): ``children`` only
                          counts its cost; the goals are computed on the
-                         first ``goal_set`` call, when a search visits or
-                         rates the child
+                         first ``goal_set`` call, when a search extends or
+                         rates the child, so a leaf a search only tests
+                         for a solution gets none
 
 Planner kinds and their ordering stages:
 
@@ -78,6 +85,7 @@ from .model import (
 from .truth import (
     GoalEntry,
     ModalStatus,
+    executes,
     false_in_sequence,
     is_unambiguous,
     last_deleter,
@@ -262,6 +270,18 @@ class Planner:
         return goals
 
     def is_solution(self, plan: Plan) -> bool:
+        """True iff `plan` has no open goal.  A cached goal set answers;
+        otherwise a derived plan is decided by ``_solved``, which for
+        ``to`` and ``ua`` builds no goal set, and a depth-0 plan, which may
+        come from outside, goes through ``goal_set`` and its input checks."""
+        goals = self._goal_cache.get(plan)
+        if goals is not None:
+            return not goals
+        if plan.parent is not None:
+            return self._solved(plan)
+        return not self.goal_set(plan)
+
+    def _solved(self, plan: Plan) -> bool:
         return not self.goal_set(plan)
 
     def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
@@ -309,6 +329,9 @@ class TotalOrderPlanner(Planner):
 
     def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
         return tuple(false_in_sequence(plan, plan.sequence))
+
+    def _solved(self, plan: Plan) -> bool:
+        return executes(plan, plan.sequence)
 
     def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
         c, needer = goal.condition, goal.needer
@@ -359,6 +382,22 @@ class UnambiguousPlanner(Planner):
         if plan.parent is None and plan.length > 0 and not is_unambiguous(plan):
             raise ValueError(f"the {self.kind} planner requires an unambiguous plan")
         return tuple(false_in_sequence(plan, plan.linear_order))
+
+    def _solved(self, plan: Plan) -> bool:
+        # Any linearization decides an unambiguous plan.  A derived plan's
+        # order is its parent's plus edges that all touch its new step, the
+        # last label, so the parent's order with the new step placed right
+        # after its last predecessor is one, unless a successor comes
+        # earlier.  It is not the canonical ``linear_order``, so it is not
+        # stored on the plan.
+        seq = plan.parent.linear_order
+        new = len(plan.steps) - 1
+        at = max(map(seq.index, plan.predecessors[new])) + 1
+        if at <= min(map(seq.index, plan.successors[new])):
+            seq = seq[:at] + (new,) + seq[at:]
+        else:
+            seq = plan.linear_order
+        return executes(plan, seq)
 
     def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
         c, needer = goal.condition, goal.needer

@@ -14,6 +14,11 @@ only the children it reaches or rates.  Ranking shuffles child indices,
 and a shuffle's random draws depend only on the length, so the RNG stream
 is the one a shuffle of the plans would draw.
 
+A search reads the goal set of every plan it extends or rates.  A leaf at
+the depth limit that nothing rated is only asked ``Planner.is_solution``,
+which for ``to`` and ``ua`` decides it by one simulation and computes no
+goal set; most visits of a probing search end at such a leaf.
+
 Iterative sampling and iterative broadening revisit the same nodes: every
 probe or pass restarts at the run's one root.  They keep an extension memo
 for the run, so each plan is extended once, at every depth; only
@@ -136,10 +141,13 @@ def _expand(
     memo: Optional[_Memo] = None,
 ) -> Optional[ExtensionResult]:
     """Visit `plan`: its children, or None at a counted leaf (a solution,
-    the depth limit or a dead end).  With a `memo`, a plan is extended at
-    most once; at the last expandable depth the memo keeps no leaf."""
+    the depth limit or a dead end).  Below the depth limit it reads the
+    goal set, which extending needs anyway; a plan at the limit is left to
+    the caller's ``is_solution``, which needs none.  With a `memo`, a plan
+    is extended at most once; at the last expandable depth the memo keeps
+    no leaf."""
     tally.visit(depth)
-    if depth < cfg.depth_limit and not planner.is_solution(plan):
+    if depth < cfg.depth_limit and planner.goal_set(plan):
         if memo is None:
             result = planner.children(plan)
         elif (result := memo.get(plan)) is None:

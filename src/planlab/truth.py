@@ -25,13 +25,11 @@ to matter once specialization promotes it into the unconditional sets.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Literal, Optional, Sequence
 
 from .model import (
-    FINAL_STEP,
     INIT_STEP,
     Plan,
     Step,
@@ -213,14 +211,6 @@ def is_unambiguous(plan: Plan) -> bool:
     )
 
 
-def is_unambiguous_brute(plan: Plan) -> bool:
-    """All-linearizations version of `is_unambiguous`, for cross-checks."""
-    return all(
-        modal_status_brute(plan, e.needer, e.condition) is not ModalStatus.AMBIGUOUS
-        for e in precondition_entries(plan)
-    )
-
-
 def false_in_sequence(plan: Plan, seq: Sequence[int]) -> list[GoalEntry]:
     """Preconditions false under one total order, via state simulation."""
     state: set[str] = set()
@@ -236,22 +226,22 @@ def false_in_sequence(plan: Plan, seq: Sequence[int]) -> list[GoalEntry]:
     return out
 
 
+def executes(plan: Plan, seq: Sequence[int]) -> bool:
+    """True iff no precondition is false under the total order `seq`: the
+    simulation of ``false_in_sequence``, stopped at the first false one."""
+    state: set[str] = set()
+    for lab in seq:
+        step = plan.by_label[lab]
+        if not step.pre <= state:
+            return False
+        state -= step.dels
+        state |= step.adds
+    return True
+
+
 def is_solution_plan(plan: Plan) -> bool:
     """True iff every precondition of every step is necessarily true."""
     return all(
         modal_status(plan, e.needer, e.condition) is ModalStatus.NECESSARILY_TRUE
         for e in precondition_entries(plan)
     )
-
-
-def is_compact_solution(plan: Plan) -> bool:
-    """True iff the plan is a solution and no strict subplan (keeping the
-    initial and final steps) is itself a solution."""
-    if not is_solution_plan(plan):
-        raise ValueError("compactness is only defined for solution plans")
-    middles = plan.middle_labels
-    for r in range(len(middles)):
-        for combo in itertools.combinations(middles, r):
-            if is_solution_plan(restrict(plan, (INIT_STEP, FINAL_STEP) + combo)):
-                return False
-    return True

@@ -1,21 +1,25 @@
-"""Maintenance helpers that only tests call.
+"""Maintenance helpers and oracles that only tests call.
 
 ``find_suite_entries`` regenerates ``domains.SUITE_ENTRIES`` (the committed
 44-problem suite) from a deterministic seed scan, and
 ``mean_probes_until_solution`` estimates the leaf-sampling cost that
-criterion C09 compares against.
+criterion C09 compares against.  ``equivalent``, ``is_unambiguous_brute``
+and ``is_compact_solution`` are brute-force oracles the tests compare
+planner output against.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from planlab.domains import BlocksworldSpec, blocksworld_problem
-from planlab.model import Problem
+from planlab.model import FINAL_STEP, INIT_STEP, Plan, Problem, _check_size, restrict
 from planlab.oracle import minimal_solution_length
 from planlab.planners import make_planner
 from planlab.search import StrategyConfig, run_trials
 from planlab.trees import TreeCeilingError, enumerate_tree
+from planlab.truth import ModalStatus, is_solution_plan, modal_status_brute, precondition_entries
 
 SUITE_CLASSES = (1, 2, 3, 4)
 SUITE_PER_CLASS = 11
@@ -110,3 +114,72 @@ def mean_probes_until_solution(
         rng.shuffle(arr)
         total += arr.index(True) + 1
     return total / runs
+
+
+def _signature_groups(plan: Plan) -> dict[tuple, list[int]]:
+    groups: dict[tuple, list[int]] = {}
+    for s in plan.steps:
+        groups.setdefault(s.signature, []).append(s.label)
+    return groups
+
+
+def equivalent(p1: Plan, p2: Plan) -> bool:
+    """Plan equivalence: a bijection between steps mapping each step to one
+    with an identical signature and preserving the order relation in both
+    directions."""
+    if len(p1.steps) != len(p2.steps):
+        return False
+    g1 = _signature_groups(p1)
+    g2 = _signature_groups(p2)
+    if set(g1) != set(g2) or any(len(g1[k]) != len(g2[k]) for k in g1):
+        return False
+    _check_size(p1, "equivalence check")
+
+    labels1 = [s.label for s in p1.steps]
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def assign(i: int) -> bool:
+        if i == len(labels1):
+            return True
+        a = labels1[i]
+        sig = p1.by_label[a].signature
+        for b in g2[sig]:
+            if b in used:
+                continue
+            ok = True
+            for a0, b0 in mapping.items():
+                if p1.before(a, a0) != p2.before(b, b0) or p1.before(a0, a) != p2.before(b0, b):
+                    ok = False
+                    break
+            if ok:
+                mapping[a] = b
+                used.add(b)
+                if assign(i + 1):
+                    return True
+                del mapping[a]
+                used.discard(b)
+        return False
+
+    return assign(0)
+
+
+def is_unambiguous_brute(plan: Plan) -> bool:
+    """All-linearizations version of `truth.is_unambiguous`, for cross-checks."""
+    return all(
+        modal_status_brute(plan, e.needer, e.condition) is not ModalStatus.AMBIGUOUS
+        for e in precondition_entries(plan)
+    )
+
+
+def is_compact_solution(plan: Plan) -> bool:
+    """True iff the plan is a solution and no strict subplan (keeping the
+    initial and final steps) is itself a solution."""
+    if not is_solution_plan(plan):
+        raise ValueError("compactness is only defined for solution plans")
+    middles = plan.middle_labels
+    for r in range(len(middles)):
+        for combo in itertools.combinations(middles, r):
+            if is_solution_plan(restrict(plan, (INIT_STEP, FINAL_STEP) + combo)):
+                return False
+    return True

@@ -20,7 +20,6 @@ from planlab.model import (
     INIT_STEP,
     Plan,
     Step,
-    equivalent,
 )
 from planlab.oracle import minimal_solution_length
 from planlab.planners import PlannerConfig, make_planner
@@ -39,9 +38,14 @@ from planlab.trees import (
     verify_partition,
     verify_totality,
 )
-from planlab.truth import is_unambiguous_brute, last_deleter, steps_interact
+from planlab.truth import last_deleter, steps_interact
 
-from helpers import mean_probes_until_solution
+from helpers import (
+    equivalent,
+    is_compact_solution,
+    is_unambiguous_brute,
+    mean_probes_until_solution,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -628,8 +632,6 @@ def test_c11_chain_domain():
                 classes.append(node.plan)
         if len(classes) != 1 or not classes[0].is_total:
             unique_totally_ordered = False
-        from planlab.truth import is_compact_solution
-
         if not is_compact_solution(classes[0]):
             unique_totally_ordered = False
         stats_pair = {}

@@ -6,7 +6,8 @@ from planlab.domains import fixture
 from planlab.model import Problem, make_op
 from planlab.planners import make_planner
 from planlab.trees import enumerate_tree, sibling_overlap_violations
-from planlab.truth import is_unambiguous_brute
+
+from helpers import is_unambiguous_brute
 
 
 def find_node(tree, middle_names):

@@ -14,7 +14,6 @@ from planlab.model import (
     PlanSizeError,
     Problem,
     Step,
-    equivalent,
     extend,
     initial_plan,
     is_linearization,
@@ -24,6 +23,7 @@ from planlab.model import (
 )
 
 from conftest import brute_topological_orders, chain_plan, linearization_plans, random_plan
+from helpers import equivalent
 
 
 def plan_of(edges, middle=3, names=None) -> Plan:

@@ -13,7 +13,6 @@ from planlab.model import (
     Plan,
     Problem,
     Step,
-    equivalent,
     initial_plan,
     linear_extensions,
     make_op,
@@ -27,7 +26,6 @@ from planlab.trees import enumerate_tree
 from planlab.truth import (
     GoalEntry,
     ModalStatus,
-    is_unambiguous_brute,
     last_deleter,
     modal_status,
     precondition_entries,
@@ -35,6 +33,7 @@ from planlab.truth import (
 )
 
 from conftest import chain_plan, linearization_plans
+from helpers import equivalent, is_unambiguous_brute
 
 
 def named_problem(name: str) -> Problem:
@@ -510,6 +509,50 @@ class TestLazyGoals:
         # the first read computes and caches the goals
         goals = planner.goal_set(plan)
         assert planner._goal_cache[plan] is goals
+
+
+class TestLeafDecision:
+    """A derived ``ua`` plan is decided by one linearization: its parent's
+    order with the new step inserted, or the canonical order when the
+    insertion would put the new step after one of its successors."""
+
+    @staticmethod
+    def uncached(plan: Plan) -> Plan:
+        """`plan` with nothing derived yet: no order, goals or adjacency."""
+        return Plan(plan.steps, plan.order, plan.parent, plan.depth)
+
+    def test_fallback_when_a_successor_comes_first(self):
+        # supplier (3) < relay (4) < closer (2): in the parent's order
+        # (0, 2, 3, 1) the relay's last predecessor, the supplier, comes
+        # after its successor, the closer.
+        problem = fixture("fig9")
+        tree = enumerate_tree(make_planner("ua", problem), 3)
+        node = find_node(tree, ["closer", "supplier", "relay"], require_goals=False)
+        child = self.uncached(node.plan)
+        new = len(child.steps) - 1
+        assert child.parent.linear_order == (0, 2, 3, 1)
+        assert (child.predecessors[new], child.successors[new]) == ((0, 3), (1, 2))
+        planner = make_planner("ua", problem)
+        assert planner.is_solution(child) and not node.goals
+        assert "linear_order" in child.__dict__  # the fallback sorted
+        assert child.linear_order == self.uncached(child).linear_order == (0, 3, 4, 2, 1)
+        assert not planner.goal_set(child)
+
+    def test_inserted_order_is_not_stored(self):
+        # o1's step goes right after the initial step, before o0's, which
+        # is not the smallest-label-first order
+        problem = Problem(
+            "independent",
+            frozenset(),
+            frozenset({"a", "b"}),
+            (make_op("o0", adds={"a"}), make_op("o1", adds={"b"})),
+        )
+        tree = enumerate_tree(make_planner("ua", problem), 2)
+        (leaf,) = [n for n in tree.nodes if n.plan.depth == 2]
+        child = self.uncached(leaf.plan)
+        assert make_planner("ua", problem).is_solution(child) and not leaf.goals
+        assert "linear_order" not in child.__dict__  # decided without a sort
+        assert child.linear_order == self.uncached(child).linear_order == (0, 2, 3, 1)
 
 
 class TestLazyChildren:

@@ -9,18 +9,22 @@ last deleter for every precondition, corresponding nodes have equal
 open-goal counts (the h-property), and breadth-first search with either
 planner solves within depth 3 exactly when the state-space oracle's
 minimal length is at most 3, and at that length (completeness).  Every
-``mt`` node's goals are checked against the all-linearizations oracle.
-Half the problems are built along a walk of operators, so many need two
-or three steps; a floor on those is checked too.  The examples are
-derandomized, so every run checks the same problems.
+``mt`` node's goals are checked against the all-linearizations oracle,
+and every ``to``, ``ua`` and ``mt`` node's ``is_solution`` against its
+goal set, with the goal set cached and without.  Half the problems are
+built along a walk of operators, so many need two or three steps; a
+floor on those is checked too.  The examples are derandomized, so every
+run checks the same problems.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from planlab.model import Problem, make_op
+from planlab.domains import fixture
+from planlab.model import Problem, cond, make_op
 from planlab.oracle import minimal_solution_length
 from planlab.planners import make_planner
 from planlab.search import StrategyConfig, bfs
@@ -33,11 +37,12 @@ from planlab.trees import (
 )
 from planlab.truth import (
     ModalStatus,
-    is_unambiguous_brute,
     last_deleter,
     modal_status_brute,
     precondition_entries,
 )
+
+from helpers import is_unambiguous_brute
 
 PROPS = ("a", "b", "c", "d")
 SUBSETS = st.integers(0, 2 ** len(PROPS) - 1).map(
@@ -169,6 +174,59 @@ def test_every_mt_goal_set_is_the_brute_not_necessarily_true_entries(problem, de
             for e in precondition_entries(plan)
             if modal_status_brute(plan, e.needer, e.condition) is not ModalStatus.NECESSARILY_TRUE
         ), node.id
+
+
+def _check_is_solution(kind: str, problem: Problem, depth: int) -> None:
+    # The tree's planner has every node's goal set cached, so it answers from
+    # the cache; a fresh planner has none, so it decides a derived plan
+    # without a goal set.
+    warm = make_planner(kind, problem)
+    for node in enumerate_tree(warm, depth).nodes:
+        solved = not node.goals
+        assert warm.is_solution(node.plan) == solved, (kind, node.id)
+        assert make_planner(kind, problem).is_solution(node.plan) == solved, (kind, node.id)
+
+
+@EXAMPLES
+@given(problem=problems(), depth=st.sampled_from((3, 2, 1, 0)))
+@example(problem=INDEPENDENT, depth=2)
+@example(problem=TWO_INTERACTING, depth=3)
+@example(problem=fixture("fig9"), depth=3)  # a ua leaf that falls back to its own order
+def test_is_solution_agrees_with_the_goal_set(problem, depth):
+    for kind in ("to", "ua", "mt"):
+        _check_is_solution(kind, problem, depth)
+
+
+# Conditional problems in which one specialised step is reached along two
+# paths: o0 adds c outright and also when b holds, or only conditionally,
+# when s or when t holds.
+CONDITIONAL = (
+    (fixture("fig13"), 4),
+    (
+        Problem(
+            "dup",
+            frozenset(),
+            frozenset({"c"}),
+            (make_op("o0", adds={"c"}, cadds=[cond({"b"}, "c")]),),
+        ),
+        3,
+    ),
+    (
+        Problem(
+            "two-cadds",
+            frozenset({"s", "t"}),
+            frozenset({"c"}),
+            (make_op("o0", cadds=[cond({"t"}, "c"), cond({"s"}, "c")]),),
+        ),
+        3,
+    ),
+)
+
+
+@pytest.mark.parametrize("kind", ["toc", "uac"])
+@pytest.mark.parametrize("problem, depth", CONDITIONAL, ids=lambda v: getattr(v, "name", str(v)))
+def test_conditional_is_solution_agrees_with_the_goal_set(kind, problem, depth):
+    _check_is_solution(kind, problem, depth)
 
 
 @EXAMPLES

@@ -312,14 +312,58 @@ class TestExtensionMemo:
 
     @pytest.mark.parametrize("case", MEMO_CASES, ids=lambda c: "-".join(c[:4]))
     def test_run_leaves_only_the_solution_chain(self, case):
+        # The solution's ancestors were extended, so their goal sets are
+        # cached; the solution leaf itself may be decided without one.
         planner, _, out = memo_run(case)
         gc.collect()
-        chain = set()
-        plan = out.solution
+        ancestors = set()
+        plan = out.solution.parent
         while plan is not None:
-            chain.add(id(plan))
+            ancestors.add(id(plan))
             plan = plan.parent
-        assert {id(plan) for plan in planner._goal_cache.keys()} == chain
+        cached = {id(plan) for plan in planner._goal_cache.keys()}
+        assert ancestors <= cached <= ancestors | {id(out.solution)}
+
+
+class TestLeafGoals:
+    """A search computes goal sets only for the plans it extends or rates:
+    a leaf at the depth limit is decided without one."""
+
+    @staticmethod
+    def spied_run(kind, strategy, heuristic):
+        length, problem = suite_problems()["blocks4_seed6"]
+        planner = make_planner(kind, problem, PlannerConfig("seeded", 1))
+        computed, solved = [], []
+        compute, decide = planner._compute_goals, planner._solved
+
+        def _compute_goals(plan):
+            computed.append(plan)  # held, so identities stay unique for the run
+            return compute(plan)
+
+        def _solved(plan):
+            solved.append(plan)
+            return decide(plan)
+
+        planner._compute_goals, planner._solved = _compute_goals, _solved
+        cfg = StrategyConfig(strategy=strategy, heuristic=heuristic, depth_limit=length, seed=1)
+        out = run_search(planner, cfg)
+        assert out.solved and out.solution.depth == length
+        return length, computed, solved
+
+    @pytest.mark.parametrize("kind", ["to", "ua"])
+    @pytest.mark.parametrize("strategy", ["dfs", "isamp", "ibroad"])
+    def test_no_leaf_at_the_limit_computes_goals(self, kind, strategy):
+        length, computed, solved = self.spied_run(kind, strategy, "none")
+        assert computed and all(plan.depth < length for plan in computed)
+        assert solved and all(plan.depth == length for plan in solved)
+
+    @pytest.mark.parametrize("kind", ["to", "ua"])
+    @pytest.mark.parametrize("strategy", ["dfs", "ibroad"])
+    def test_rated_leaves_keep_their_goal_sets(self, kind, strategy):
+        length, computed, solved = self.spied_run(kind, strategy, "min_goals_rank")
+        assert any(plan.depth == length for plan in computed)
+        assert max(Counter(id(plan) for plan in computed).values()) == 1
+        assert not solved  # every visited leaf was rated first
 
 
 class TestMinGoals:

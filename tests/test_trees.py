@@ -22,7 +22,8 @@ from planlab.trees import (
     verify_partition,
     verify_totality,
 )
-from planlab.truth import is_unambiguous_brute
+
+from helpers import is_unambiguous_brute
 
 
 class TestEnumerateTree:

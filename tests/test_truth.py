@@ -13,7 +13,6 @@ from planlab.model import (
     Plan,
     Problem,
     Step,
-    equivalent,
     initial_plan,
     restrict,
 )
@@ -24,10 +23,8 @@ from planlab.truth import (
     GoalEntry,
     ModalStatus,
     false_in_sequence,
-    is_compact_solution,
     is_solution_plan,
     is_unambiguous,
-    is_unambiguous_brute,
     last_deleter,
     modal_status,
     modal_status_brute,
@@ -37,6 +34,7 @@ from planlab.truth import (
 )
 
 from conftest import chain_plan, random_plan
+from helpers import equivalent, is_compact_solution, is_unambiguous_brute
 
 
 def build(steps_spec, edges):
