@@ -26,7 +26,6 @@ from .truth import (
     AmbiguousLastDeleter,
     GoalEntry,
     ModalStatus,
-    is_solution_plan,
     is_unambiguous,
     last_deleter,
     modal_status,

@@ -35,7 +35,7 @@ from .domains import (
     serialize_problem,
     standard_suite,
 )
-from .model import FINAL_STEP, INIT_STEP, Plan, PlanSizeError, Problem
+from .model import Plan, PlanSizeError, Problem
 from .oracle import OracleCeilingError, minimal_solution_length
 from .planners import PLANNERS, PlannerConfig, make_planner
 from .search import HEURISTICS, STRATEGIES, StrategyConfig, run_trials
@@ -98,9 +98,9 @@ def _check_writable(path: Path) -> None:
 def _describe_plan(plan: Plan) -> str:
     lines = []
     names = {lab: plan.by_label[lab].name for lab in plan.labels}
-    middle = [lab for lab in sorted(plan.labels) if lab not in (INIT_STEP, FINAL_STEP)]
+    middle = plan.middle_labels
     if plan.is_total:
-        seq = [names[lab] for lab in plan.sequence if lab not in (INIT_STEP, FINAL_STEP)]
+        seq = [names[lab] for lab in plan.sequence if lab in middle]
         lines.append("sequence: " + (" < ".join(seq) if seq else "(empty)"))
     else:
         lines.append("steps: " + " ".join(f"{lab}:{names[lab]}" for lab in middle))

@@ -5,7 +5,7 @@ A plan is an immutable value: a set of uniquely labeled steps plus a set of
 direct ordering edges over step labels.  Label 0 is always the initial step
 (it adds the problem's initial state) and label 1 the final step (its
 preconditions are the problem's goals); further steps are labeled 2, 3, ...
-in derivation order.  Relational queries (before/after, linearization) are
+in derivation order.  Relational queries (before/after, totality) are
 answered on the transitive closure of the edge set, which is computed
 lazily and cached per plan.
 
@@ -15,7 +15,6 @@ may carry structurally identical plans and must stay distinct.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -27,8 +26,8 @@ FINAL_STEP = 1
 INIT_NAME = "#init"
 FINAL_NAME = "#goal"
 
-# Brute-force relational checks (linearization checks and enumeration) are
-# exponential in plan size; refuse loudly rather than stall.
+# Linear extension enumeration is exponential in plan size; refuse loudly
+# rather than stall.
 STEP_CEILING = 32
 EXTENSION_CEILING = 1_000_000
 
@@ -252,16 +251,6 @@ class Plan:
         except KeyError:
             raise ValueError(f"plan has no step labeled {label}") from None
 
-    def validate(self) -> None:
-        self.linear_order  # raises on a cycle
-        for lab in self.labels:
-            if lab != INIT_STEP and not self.before(INIT_STEP, lab):
-                raise ValueError(f"initial step does not precede step {lab}")
-            if lab != FINAL_STEP and not self.before(lab, FINAL_STEP):
-                raise ValueError(f"final step does not follow step {lab}")
-        if (self.parent is None) != (self.depth == 0):
-            raise ValueError("parent must be absent exactly at derivation depth 0")
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -271,10 +260,6 @@ class Problem:
     init: frozenset[str]
     goals: frozenset[str]
     library: tuple[OperatorSchema, ...]
-
-    def validate(self) -> None:
-        for op in self.library:
-            op.validate()
 
     def lint(self) -> list[str]:
         """Non-fatal warnings about suspicious propositions."""
@@ -368,49 +353,29 @@ def linear_extensions(plan: Plan) -> list[tuple[int, ...]]:
 
 
 def is_linearization(total: Plan, plan: Plan) -> bool:
-    """True iff `total` is a totally ordered plan whose steps correspond
-    one-to-one (same operator, same effective fields) to `plan`'s steps in a
-    way that respects every ordering of `plan`.
+    """True iff `total` is a totally ordered plan with `plan`'s steps label
+    for label (the same label with the same operator and effective fields
+    at each position, steps being kept in label order) whose sequence
+    places every step after all of its predecessors in `plan`.
 
-    When `plan`'s step signatures are all distinct the correspondence is
-    forced, so one walk along `total.sequence` decides it in polynomial
-    time, at any plan size.  Otherwise a backtracking search over the
-    signature-preserving bijections decides it, refusing plans over
-    ``STEP_CEILING`` steps."""
-    if len(total.steps) != len(plan.steps):
+    Linked planners give a new step the same fresh label in both trees, so
+    the correspondence is label for label.  The property tests check this
+    against ``is_linearization_brute``, which lets any signature-preserving
+    bijection match the steps, on every pair ``build_correspondence``
+    examines."""
+    if total.labels != plan.labels or not total.is_total:
         return False
-    if not total.is_total:
-        return False
-    label_of = {s.signature: s.label for s in plan.steps}
-    if len(label_of) == len(plan.steps):
-        placed: set[int] = set()
-        for t in total.sequence:
-            lab = label_of.get(total.by_label[t].signature)
-            if lab is None or lab in placed or not placed.issuperset(plan.predecessors[lab]):
-                return False
-            placed.add(lab)
-        return True
-    if Counter(s.signature for s in total.steps) != Counter(s.signature for s in plan.steps):
-        return False
-    _check_size(plan, "linearization check")
-    seq = total.sequence
-    used: set[int] = set()
-
-    def place(i: int) -> bool:
-        if i == len(seq):
-            return True
-        want = total.by_label[seq[i]].signature
-        for lab in plan.labels:
-            if lab in used or plan.by_label[lab].signature != want:
-                continue
-            if all(p in used for p in plan.predecessors[lab]):
-                used.add(lab)
-                if place(i + 1):
-                    return True
-                used.discard(lab)
-        return False
-
-    return place(0)
+    # The newest step, last in label order, is where two candidates for
+    # one link most often differ, so the walk starts there.
+    for t, p in zip(reversed(total.steps), reversed(plan.steps)):
+        if t.signature != p.signature:
+            return False
+    placed: set[int] = set()
+    for lab in total.sequence:
+        if not placed.issuperset(plan.predecessors[lab]):
+            return False
+        placed.add(lab)
+    return True
 
 
 def restrict(plan: Plan, labels: Iterable[int]) -> Plan:

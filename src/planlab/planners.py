@@ -44,7 +44,9 @@ Planner kinds and their ordering stages:
          conditions and conditional effects, and a role-selection stage
          branches on marking versus specializing usable conditional adds;
          it reads each candidate's closure, so these kinds build every
-         child.
+         child.  Two paths of specialisation can reach one variant, so
+         only the first child with given step signatures and closure is
+         kept, as ``mt`` keeps it.
 ``mt``   deferred ordering driven by exact modal truth: establishers may
          be existing steps or fresh instances, threats are resolved one at
          a time by demotion or white-knight protection, and children may
@@ -239,6 +241,16 @@ def _spread(marks: set[int], start: int, adj: dict[int, Sequence[int]]) -> int:
             if v not in marks:
                 stack.append(v)
     return cost
+
+
+def _plan_key(plan: Plan) -> tuple:
+    """What two sibling plans share exactly when they are one plan: their
+    step signatures and the closure of their order."""
+    after = plan.after_sets
+    return (
+        tuple(s.signature for s in plan.steps),
+        frozenset((a, b) for a in after for b in after[a]),
+    )
 
 
 class Planner:
@@ -474,13 +486,19 @@ class _RoleSelectionMixin:
     only in its steps' roles, so it has the candidate's costs."""
 
     def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
+        # Specialisations commute, so two paths can reach one variant; the
+        # first copy of each distinct plan is kept.
         cands = super()._extensions(plan, goal)
         children: list[Plan] = []
         costs: list[ChildCost] = []
+        seen: set = set()
         for cand, cost in zip(cands.children, cands.costs):
-            variants = self._role_branches(cand)
-            children.extend(variants)
-            costs.extend([cost] * len(variants))
+            for variant in self._role_branches(cand):
+                key = _plan_key(variant)
+                if key not in seen:
+                    seen.add(key)
+                    children.append(variant)
+                    costs.append(cost)
         return ExtensionResult(tuple(children), tuple(costs))
 
     def _role_branches(self, cand: Plan) -> list[Plan]:
@@ -511,10 +529,10 @@ class _RoleSelectionMixin:
         def branch(steps_map: dict[int, Step]) -> None:
             trigger = find_trigger(steps_map)
             if trigger is None:
-                # Same order as the candidate, so its linearization still holds;
+                # Same order as the candidate, so its linearization and closure hold;
                 # the dict keeps label order.
                 variant = replace(cand, steps=tuple(steps_map.values()))
-                for key in ("linear_order", "is_total"):
+                for key in ("linear_order", "is_total", "after_sets"):
                     if key in cand.__dict__:
                         variant.__dict__[key] = cand.__dict__[key]
                 results.append(variant)
@@ -621,10 +639,7 @@ class ModalTruthPlanner(Planner):
                 and d not in after[needer]  # not necessarily after the needer
             )
             if not threats:
-                key = (
-                    tuple(s.signature for s in child.steps),
-                    frozenset((a, b) for a in after for b in after[a]),
-                )
+                key = _plan_key(child)
                 if key not in seen:
                     seen.add(key)
                     out.append((child, visits))

@@ -3,8 +3,12 @@
 `enumerate_tree` unrolls a planner's complete derivation tree to a depth
 limit, with deterministic preorder node ids.  `build_correspondence` links
 a partial-order tree to a total-order tree of the same problem: a
-total-order node belongs to the image of a partial-order node when its
-plan linearizes that node's plan and their parents are already linked.
+total-order node belongs to the image of a partial-order node when their
+parents are already linked and its plan linearizes that node's plan label
+for label.  Both planners give a new step the parent's next free label,
+so linked plans agree on what each label names; `is_linearization`
+compares them step for step and checks that the total order puts every
+ordering of the partial one forward.
 The totality, disjointness and partition checks then machine-verify the
 expected relationships between the two trees.
 
@@ -22,7 +26,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import FINAL_STEP, INIT_STEP, Plan, Problem, is_linearization, linear_extensions
+from .model import Plan, Problem, is_linearization, linear_extensions
 from .planners import ChildCost, Planner
 from .truth import GoalEntry
 
@@ -310,12 +314,10 @@ class TreeStats:
 def tree_stats(tree: SearchTree) -> TreeStats:
     """Counts, solution density over the leaves, and gap and run-length
     descriptions of the left-to-right solution layout."""
-    bound = tree.depth_limit
-    nodes = [n for n in tree.nodes if n.depth <= bound]
-    per_level = [0] * (bound + 1)
-    for n in nodes:
+    per_level = [0] * (tree.depth_limit + 1)
+    for n in tree.nodes:
         per_level[n.depth] += 1
-    leaves = [n for n in nodes if not n.children_ids or n.depth == bound]
+    leaves = [n for n in tree.nodes if not n.children_ids]
     flags = [n.is_solution for n in leaves]  # ids ascend: preorder = left-to-right
     solution_count = sum(flags)
     density = solution_count / len(leaves) if leaves else 0.0
@@ -329,7 +331,7 @@ def tree_stats(tree: SearchTree) -> TreeStats:
         run = run + 1 if f else 0
         max_run = max(max_run, run)
     return TreeStats(
-        node_count=len(nodes),
+        node_count=len(tree),
         leaf_count=len(leaves),
         solution_leaf_count=solution_count,
         solution_density=density,
@@ -345,11 +347,7 @@ def tree_to_json(tree: SearchTree) -> list[dict]:
     out = []
     for n in tree.nodes:
         plan = n.plan
-        seq = [
-            plan.by_label[lab].name
-            for lab in sorted(plan.labels)
-            if lab not in (INIT_STEP, FINAL_STEP)
-        ]
+        seq = [plan.by_label[lab].name for lab in plan.middle_labels]
         out.append(
             {
                 "id": n.id,

@@ -237,11 +237,3 @@ def executes(plan: Plan, seq: Sequence[int]) -> bool:
         state -= step.dels
         state |= step.adds
     return True
-
-
-def is_solution_plan(plan: Plan) -> bool:
-    """True iff every precondition of every step is necessarily true."""
-    return all(
-        modal_status(plan, e.needer, e.condition) is ModalStatus.NECESSARILY_TRUE
-        for e in precondition_entries(plan)
-    )

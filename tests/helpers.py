@@ -3,9 +3,11 @@
 ``find_suite_entries`` regenerates ``domains.SUITE_ENTRIES`` (the committed
 44-problem suite) from a deterministic seed scan, and
 ``mean_probes_until_solution`` estimates the leaf-sampling cost that
-criterion C09 compares against.  ``equivalent``, ``is_unambiguous_brute``
+criterion C09 compares against.  ``equivalent``,
+``is_linearization_brute``, ``is_unambiguous_brute``, ``is_solution_plan``
 and ``is_compact_solution`` are brute-force oracles the tests compare
-planner output against.
+planner output against, and ``validate_plan`` checks a plan's structural
+invariants.
 """
 
 from __future__ import annotations
@@ -14,12 +16,20 @@ import itertools
 import random
 
 from planlab.domains import BlocksworldSpec, blocksworld_problem
-from planlab.model import FINAL_STEP, INIT_STEP, Plan, Problem, _check_size, restrict
+from planlab.model import (
+    FINAL_STEP,
+    INIT_STEP,
+    Plan,
+    Problem,
+    _check_size,
+    linear_extensions,
+    restrict,
+)
 from planlab.oracle import minimal_solution_length
 from planlab.planners import make_planner
 from planlab.search import StrategyConfig, run_trials
 from planlab.trees import TreeCeilingError, enumerate_tree
-from planlab.truth import ModalStatus, is_solution_plan, modal_status_brute, precondition_entries
+from planlab.truth import ModalStatus, modal_status, modal_status_brute, precondition_entries
 
 SUITE_CLASSES = (1, 2, 3, 4)
 SUITE_PER_CLASS = 11
@@ -164,10 +174,45 @@ def equivalent(p1: Plan, p2: Plan) -> bool:
     return assign(0)
 
 
+def is_linearization_brute(total: Plan, plan: Plan) -> bool:
+    """The bijection reading of `model.is_linearization`: `total` is totally
+    ordered and some linear extension of `plan` reads, signature for
+    signature, as `total.sequence`, whatever the labels."""
+    if len(total.steps) != len(plan.steps) or not total.is_total:
+        return False
+    want = tuple(total.by_label[lab].signature for lab in total.sequence)
+    return any(
+        tuple(plan.by_label[lab].signature for lab in seq) == want
+        for seq in linear_extensions(plan)
+    )
+
+
+def validate_plan(plan: Plan) -> None:
+    """Raise ``ValueError`` unless the order is acyclic, the initial step
+    precedes and the final step follows every other step, and the plan has
+    a parent exactly when its depth is not 0."""
+    plan.linear_order  # raises on a cycle
+    for lab in plan.labels:
+        if lab != INIT_STEP and not plan.before(INIT_STEP, lab):
+            raise ValueError(f"initial step does not precede step {lab}")
+        if lab != FINAL_STEP and not plan.before(lab, FINAL_STEP):
+            raise ValueError(f"final step does not follow step {lab}")
+    if (plan.parent is None) != (plan.depth == 0):
+        raise ValueError("parent must be absent exactly at derivation depth 0")
+
+
 def is_unambiguous_brute(plan: Plan) -> bool:
     """All-linearizations version of `truth.is_unambiguous`, for cross-checks."""
     return all(
         modal_status_brute(plan, e.needer, e.condition) is not ModalStatus.AMBIGUOUS
+        for e in precondition_entries(plan)
+    )
+
+
+def is_solution_plan(plan: Plan) -> bool:
+    """True iff every precondition of every step is necessarily true."""
+    return all(
+        modal_status(plan, e.needer, e.condition) is ModalStatus.NECESSARILY_TRUE
         for e in precondition_entries(plan)
     )
 

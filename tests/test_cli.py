@@ -170,6 +170,25 @@ class TestVerify:
         payload = json.loads(out.read_text())
         assert all(set(e) == {"ua_id", "to_ids"} for e in payload)
 
+    # One specialised step reached along two paths: o0 adds c outright and
+    # also when b holds, or only conditionally, when t or when s holds.
+    @pytest.mark.parametrize(
+        "text, size",
+        [
+            ("problem dup\ninit:\ngoal: c\noperator o0\n  add: c\n  cadd: (b -> c)\nend\n", 3),
+            ("problem a\ninit: s t\ngoal: c\noperator o0\n  cadd: (t -> c) (s -> c)\nend\n", 4),
+        ],
+        ids=["dup", "a"],
+    )
+    def test_conditional_siblings_are_distinct_plans(self, tmp_path, capsys, text, size):
+        path = tmp_path / "cond.plan"
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path), "--conditional", "--depth-limit", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith(f"|tree_uac| = {size}  |tree_toc| = {size}\n")
+        for check in ("totality", "disjointness", "partition"):
+            assert f"{check}: pass" in out
+
     def test_mt_with_conditional_refused(self, capsys):
         assert main(["verify", "fixture:fig9", "--mt", "--conditional"]) == EXIT_USAGE
         assert capsys.readouterr() == (
@@ -291,11 +310,15 @@ class TestCeilings:
         assert out == ""
         assert err == "error: depth_limit must be >= 0, not -1\n"
 
-    def test_deep_verify_stops_at_the_plan_size_ceiling(self, loop_file, capsys):
-        assert main(["verify", loop_file, "--depth-limit", "500"]) == EXIT_CEILING
+    def test_deep_verify_of_repeated_operators_is_not_refused(self, loop_file, capsys):
+        # plans of up to 502 steps, each operator repeated: past the step
+        # ceiling, which guards only linear-extension enumeration
+        assert main(["verify", loop_file, "--depth-limit", "500"]) == EXIT_OK
         out, err = capsys.readouterr()
-        assert out == "|tree_ua| = 501  |tree_to| = 501\n"
-        assert err == "error: linearization check refused: plan has 33 steps, ceiling is 32\n"
+        assert out.startswith("|tree_ua| = 501  |tree_to| = 501\n")
+        for check in ("totality", "disjointness", "partition"):
+            assert f"{check}: pass" in out
+        assert err == ""
 
     def test_deep_verify_of_distinct_operators_is_not_refused(self, tmp_path, capsys):
         # 35 distinct operators in one chain: plans of 37 steps, over the

@@ -139,7 +139,8 @@ class TestFixtures:
 
     def test_all_fixtures_validate(self):
         for name in fixture_names():
-            fixture(name).validate()
+            for op in fixture(name).library:
+                op.validate()
 
 
 class TestProblemFormat:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from planlab.model import (
 )
 
 from conftest import brute_topological_orders, chain_plan, linearization_plans, random_plan
-from helpers import equivalent
+from helpers import equivalent, is_linearization_brute, validate_plan
 
 
 def plan_of(edges, middle=3, names=None) -> Plan:
@@ -41,6 +42,16 @@ def plan_of(edges, middle=3, names=None) -> Plan:
             all_edges.add((s.label, FINAL_STEP))
     all_edges.add((INIT_STEP, FINAL_STEP))
     return Plan(tuple(steps), frozenset(all_edges))
+
+
+def draw_plan(data) -> tuple[list[str], Plan]:
+    """Up to five middle steps named from a small pool, so names often
+    repeat, and any edges that go forward in label order."""
+    pool = data.draw(st.sampled_from(["AB", "ABCDEF"]))
+    names = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+    k = len(names)
+    edges = {(2 + i, 2 + j) for i in range(k) for j in range(i + 1, k) if data.draw(st.booleans())}
+    return names, plan_of(edges, names=names)
 
 
 def chain(k: int) -> set[tuple[int, int]]:
@@ -156,38 +167,56 @@ class TestIsLinearization:
         plan = plan_of({(2, 3), (3, 4)})
         assert len(linear_extensions(plan)) == 1
 
-    def test_repeated_signatures_backtrack_past_a_dead_end(self):
-        # Labels 2:A, 3:A, 4:B with 3 < 4.  The first ready A (label 2)
-        # leaves B waiting on label 3, so the search must back up.
+    def test_labels_must_match_not_just_signatures(self):
+        # Labels 2:A, 3:A, 4:B with 3 < 4, against the chain A < B < A: the
+        # bijection reading maps label 3 to the chain's label 2, but label
+        # for label, label 3 is A in one plan and B in the other.
         plan = plan_of({(3, 4)}, names=["A", "A", "B"])
         total = plan_of(chain(3), names=["A", "B", "A"])
-        assert is_linearization(total, plan)
+        assert is_linearization_brute(total, plan)
+        assert not is_linearization(total, plan)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_agrees_with_linear_extension_oracle(self, data):
-        pool = data.draw(st.sampled_from(["AB", "ABCDEF"]))
-        names = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+    def test_agrees_with_the_label_for_label_oracle(self, data):
+        names, plan = draw_plan(data)
         k = len(names)
-        edges = {
-            (2 + i, 2 + j)
-            for i in range(k)
-            for j in range(i + 1, k)
-            if data.draw(st.booleans())
-        }
-        plan = plan_of(edges, names=names)
+        seq = [2 + i for i in data.draw(st.permutations(range(k)))]
+        total_names = list(names)
+        if k and data.draw(st.booleans()):
+            total_names[data.draw(st.integers(0, k - 1))] = "Z"
+        total = plan_of(set(zip(seq, seq[1:])), names=total_names)
+
+        oracle = total.sequence in linear_extensions(plan) and all(
+            total.step(lab).signature == plan.step(lab).signature for lab in plan.labels
+        )
+        assert is_linearization(total, plan) == oracle
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_brute_agrees_with_a_bijection_search(self, data):
+        names, plan = draw_plan(data)
+        k = len(names)
         chain_names = [names[i] for i in data.draw(st.permutations(range(k)))]
         if k and data.draw(st.booleans()):
             chain_names[data.draw(st.integers(0, k - 1))] = "Z"
         total = plan_of(chain(k), names=chain_names)
 
-        def signatures(p, seq):
-            return tuple(p.step(lab).signature for lab in seq)
-
-        oracle = signatures(total, total.sequence) in {
-            signatures(plan, seq) for seq in linear_extensions(plan)
-        }
-        assert is_linearization(total, plan) == oracle
+        # Some signature-preserving map of the middle labels onto the
+        # chain's puts every edge forward; the sentinels map to themselves.
+        position = {lab: i for i, lab in enumerate(total.sequence)}
+        middle = plan.middle_labels
+        oracle = any(
+            all(plan.step(a).signature == total.step(b).signature for a, b in image.items())
+            and all(position[image[a]] < position[image[b]] for a, b in plan.order)
+            for image in (
+                {INIT_STEP: INIT_STEP, FINAL_STEP: FINAL_STEP, **dict(zip(middle, perm))}
+                for perm in itertools.permutations(total.middle_labels)
+            )
+        )
+        assert is_linearization_brute(total, plan) == oracle
+        if is_linearization(total, plan):
+            assert oracle
 
 
 class TestEquivalence:
@@ -264,7 +293,7 @@ class TestExtend:
         child = extend(root, step, {(INIT_STEP, 2), (2, FINAL_STEP)})
         assert child.parent is root
         assert child.depth == 1
-        child.validate()
+        validate_plan(child)
 
     def test_acyclic_after_extension(self, tiny_problem):
         root = initial_plan(tiny_problem)
@@ -296,11 +325,11 @@ class TestCeilings:
         plan = plan_of(set(), middle=35)
         assert is_linearization(plan_of(chain(35), middle=35), plan)
 
-    def test_repeated_signatures_refused_past_the_step_ceiling(self):
+    def test_repeated_signatures_decided_past_the_step_ceiling(self):
         names = ["A"] * 35
-        plan = plan_of(set(), names=names)
-        with pytest.raises(PlanSizeError):
-            is_linearization(plan_of(chain(35), names=names), plan)
+        total = plan_of(chain(35), names=names)
+        assert is_linearization(total, plan_of(set(), names=names))
+        assert not is_linearization(total, plan_of({(3, 2)}, names=names))
 
 
 class TestOperatorSchema:

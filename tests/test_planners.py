@@ -33,7 +33,7 @@ from planlab.truth import (
 )
 
 from conftest import chain_plan, linearization_plans
-from helpers import equivalent, is_unambiguous_brute
+from helpers import equivalent, is_unambiguous_brute, validate_plan
 
 
 def named_problem(name: str) -> Problem:
@@ -112,7 +112,7 @@ class TestTotalOrderChildren:
         for child in result.children:
             assert child.parent is root
             assert child.depth == 1
-            child.validate()
+            validate_plan(child)
 
 
 class TestUnambiguousChildren:

@@ -1,4 +1,4 @@
-"""Property tests for the ua/to correspondence on generated problems.
+"""Property tests for the ua/to and uac/toc correspondence on generated problems.
 
 Hypothesis draws unconditional problems with at most three operators over
 four propositions and checks, at depth limits up to 3, the structural
@@ -13,22 +13,37 @@ minimal length is at most 3, and at that length (completeness).  Every
 and every ``to``, ``ua`` and ``mt`` node's ``is_solution`` against its
 goal set, with the goal set cached and without.  Half the problems are
 built along a walk of operators, so many need two or three steps; a
-floor on those is checked too.  The examples are derandomized, so every
-run checks the same problems.
+floor on those is checked too.
+
+A second strategy draws conditional problems: operators with conditional
+adds and conditional deletes.  The ``uac``/``toc`` trees are checked for
+totality, disjointness, partition, unambiguity and the h-property.
+Completeness is left out for them: a conditional delete that fires can
+make a conditional solution unsound (see ROADMAP, conditional-delete
+soundness), so ``bfs`` and the state-space oracle may disagree until
+that is settled.  On both kinds of problem, every pair of plans the
+correspondence examines is decided by the label-for-label
+``is_linearization`` and by the bijection oracle
+``is_linearization_brute`` alike.  The examples are derandomized, so
+every run checks the same problems.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from planlab.domains import fixture
-from planlab.model import Problem, cond, make_op
+from planlab.model import Problem, cond, is_linearization, make_op
 from planlab.oracle import minimal_solution_length
 from planlab.planners import make_planner
 from planlab.search import StrategyConfig, bfs
+from planlab import trees
 from planlab.trees import (
+    CorrespondenceMap,
     build_correspondence,
     enumerate_tree,
     verify_disjointness,
@@ -42,7 +57,7 @@ from planlab.truth import (
     precondition_entries,
 )
 
-from helpers import is_unambiguous_brute
+from helpers import is_linearization_brute, is_unambiguous_brute
 
 PROPS = ("a", "b", "c", "d")
 SUBSETS = st.integers(0, 2 ** len(PROPS) - 1).map(
@@ -101,6 +116,38 @@ def problems() -> st.SearchStrategy[Problem]:
     return st.one_of(free_problems(), chained_problems())
 
 
+@st.composite
+def conditional_operators(draw, name: str):
+    """An operator with up to two conditional adds and at most one
+    conditional delete, whose effect is among its dependencies as
+    ``OperatorSchema.validate`` requires."""
+    op = draw(operators(name))
+    deps = SUBSETS.filter(bool)
+    cadds = draw(st.lists(st.builds(cond, deps, st.sampled_from(PROPS)), max_size=2))
+    cdels = draw(
+        st.lists(
+            st.builds(lambda d, p: cond(d | {p}, p), SUBSETS, st.sampled_from(PROPS)),
+            max_size=1,
+        )
+    )
+    return make_op(name, op.pre, op.adds, op.dels, cadds, cdels)
+
+
+@st.composite
+def conditional_problems(draw) -> Problem:
+    """A library of one to three conditional operators; every goal is
+    added by some operator, perhaps only conditionally, and at least one
+    goal is false initially."""
+    library = tuple(
+        draw(conditional_operators(f"o{i}")) for i in range(draw(st.sampled_from((3, 2, 1))))
+    )
+    addable = frozenset().union(*(op.adds | {ce.effect for ce in op.cadds} for op in library))
+    goals = draw(SUBSETS) & addable
+    init = draw(SUBSETS)
+    assume(goals and not goals <= init)
+    return Problem(name="generated", init=init, goals=goals, library=library)
+
+
 # Two steps that never interact, so the ua tree is strictly smaller than the
 # to tree; random problems this small rarely have such a pair.
 INDEPENDENT = Problem(
@@ -126,10 +173,40 @@ TWO_INTERACTING = Problem(
 )
 
 
-def _trees(problem: Problem, depth: int):
-    tree_ua = enumerate_tree(make_planner("ua", problem), depth)
-    tree_to = enumerate_tree(make_planner("to", problem), depth)
-    return tree_ua, tree_to
+def _trees(problem: Problem, depth: int, kinds: tuple[str, str] = ("ua", "to")):
+    tree_pa = enumerate_tree(make_planner(kinds[0], problem), depth)
+    tree_to = enumerate_tree(make_planner(kinds[1], problem), depth)
+    return tree_pa, tree_to
+
+
+def _check_the_map(tree_pa, tree_to) -> CorrespondenceMap:
+    """Totality, disjointness, partition, and a partial-order tree no
+    larger than the total-order one."""
+    cmap = build_correspondence(tree_pa, tree_to)
+    for report in (
+        verify_totality(cmap, tree_pa),
+        verify_disjointness(cmap),
+        verify_partition(cmap, tree_to),
+    ):
+        assert report.ok, (report.name, report.violations)
+    assert len(tree_pa) <= len(tree_to)
+    assert cmap.image_size_sum() == len(tree_to)
+    return cmap
+
+
+def _check_h_property(cmap, tree_pa, tree_to) -> None:
+    """Linked nodes have equal open-goal counts."""
+    for node in tree_pa.nodes:
+        for to_id in cmap.image(node.id):
+            assert len(tree_to.node(to_id).goals) == len(node.goals), (node.id, to_id)
+
+
+def _check_unambiguous(tree_pa) -> None:
+    for node in tree_pa.nodes:
+        assert is_unambiguous_brute(node.plan)
+        for entry in precondition_entries(node.plan):
+            # raises AmbiguousLastDeleter on two unordered latest deleters
+            last_deleter(node.plan, entry.condition, entry.needer)
 
 
 @EXAMPLES
@@ -137,28 +214,14 @@ def _trees(problem: Problem, depth: int):
 @example(problem=INDEPENDENT, depth=2)
 @example(problem=TWO_INTERACTING, depth=3)
 def test_correspondence_partitions_the_total_order_tree(problem, depth):
-    tree_ua, tree_to = _trees(problem, depth)
-    cmap = build_correspondence(tree_ua, tree_to)
-    for report in (
-        verify_totality(cmap, tree_ua),
-        verify_disjointness(cmap),
-        verify_partition(cmap, tree_to),
-    ):
-        assert report.ok, (report.name, report.violations)
-    assert len(tree_ua) <= len(tree_to)
-    assert cmap.image_size_sum() == len(tree_to)
+    _check_the_map(*_trees(problem, depth))
 
 
 @EXAMPLES
 @given(problem=problems(), depth=st.sampled_from((3, 2, 1, 0)))
 @example(problem=TWO_INTERACTING, depth=3)
 def test_every_ua_node_is_unambiguous(problem, depth):
-    tree_ua, _ = _trees(problem, depth)
-    for node in tree_ua.nodes:
-        assert is_unambiguous_brute(node.plan)
-        for entry in precondition_entries(node.plan):
-            # raises AmbiguousLastDeleter on two unordered latest deleters
-            last_deleter(node.plan, entry.condition, entry.needer)
+    _check_unambiguous(_trees(problem, depth)[0])
 
 
 @EXAMPLES
@@ -234,10 +297,35 @@ def test_conditional_is_solution_agrees_with_the_goal_set(kind, problem, depth):
 @example(problem=TWO_INTERACTING, depth=3)
 def test_corresponding_nodes_have_equal_open_goal_counts(problem, depth):
     tree_ua, tree_to = _trees(problem, depth)
-    cmap = build_correspondence(tree_ua, tree_to)
-    for node in tree_ua.nodes:
-        for to_id in cmap.image(node.id):
-            assert len(tree_to.node(to_id).goals) == len(node.goals), (node.id, to_id)
+    _check_h_property(build_correspondence(tree_ua, tree_to), tree_ua, tree_to)
+
+
+@EXAMPLES
+@given(problem=conditional_problems(), depth=st.sampled_from((3, 2, 1, 0)))
+@example(problem=CONDITIONAL[1][0], depth=1)
+@example(problem=CONDITIONAL[2][0], depth=1)
+def test_conditional_correspondence_keeps_every_property(problem, depth):
+    tree_uac, tree_toc = _trees(problem, depth, ("uac", "toc"))
+    _check_h_property(_check_the_map(tree_uac, tree_toc), tree_uac, tree_toc)
+    _check_unambiguous(tree_uac)
+
+
+@EXAMPLES
+@given(problem=st.one_of(problems(), conditional_problems()), depth=st.sampled_from((3, 2, 1, 0)))
+@example(problem=TWO_INTERACTING, depth=3)
+@example(problem=CONDITIONAL[1][0], depth=3)
+@example(problem=CONDITIONAL[2][0], depth=3)
+def test_is_linearization_agrees_with_the_bijection_oracle(problem, depth):
+    # Every pair the correspondence examines, in both planner pairs, is
+    # decided label for label and by the bijection oracle alike.
+    def cross_checked(total, plan):
+        got = is_linearization(total, plan)
+        assert got == is_linearization_brute(total, plan)
+        return got
+
+    for kinds in (("ua", "to"), ("uac", "toc")):
+        with mock.patch.object(trees, "is_linearization", cross_checked):
+            build_correspondence(*_trees(problem, depth, kinds))
 
 
 @EXAMPLES

@@ -23,7 +23,6 @@ from planlab.truth import (
     GoalEntry,
     ModalStatus,
     false_in_sequence,
-    is_solution_plan,
     is_unambiguous,
     last_deleter,
     modal_status,
@@ -34,7 +33,7 @@ from planlab.truth import (
 )
 
 from conftest import chain_plan, random_plan
-from helpers import equivalent, is_compact_solution, is_unambiguous_brute
+from helpers import equivalent, is_compact_solution, is_solution_plan, is_unambiguous_brute
 
 
 def build(steps_spec, edges):
