@@ -7,7 +7,10 @@ direct ordering edges over step labels.  Label 0 is always the initial step
 preconditions are the problem's goals); further steps are labeled 2, 3, ...
 in derivation order.  Relational queries (before/after, totality) are
 answered on the transitive closure of the edge set, which is computed
-lazily and cached per plan.
+lazily and cached per plan.  A child plan derives its closure from its
+parent's, when that is cached, by adding only its new edges; a plan with
+no parent, or whose parent's closure was never asked for, sorts and closes
+its own order.
 
 Plans compare by identity, not by field value: two nodes of a search tree
 may carry structurally identical plans and must stay distinct.
@@ -209,8 +212,25 @@ class Plan:
 
     @cached_property
     def after_sets(self) -> dict[int, frozenset[int]]:
-        """label -> every label strictly after it (transitive closure)."""
-        out: dict[int, frozenset[int]] = {}
+        """label -> every label strictly after it (transitive closure).
+
+        A plan extended from a parent whose closure is cached starts from
+        that closure and adds its new edges one at a time: an edge (a, b)
+        puts b and everything after b after a and after everything before
+        a.  Any other plan is sorted and closed from its last label back."""
+        parent = self.parent
+        if parent is not None and "after_sets" in parent.__dict__ and parent.order <= self.order:
+            out = dict.fromkeys(self.labels, frozenset())
+            out.update(parent.after_sets)
+            for a, b in self.order - parent.order:
+                if a == b or a in out[b]:
+                    raise ValueError("plan ordering contains a cycle")
+                reach = out[b] | {b}
+                for lab, later in out.items():
+                    if (lab == a or a in later) and not reach <= later:
+                        out[lab] = later | reach
+            return out
+        out = {}
         for lab in reversed(self.linear_order):
             acc: set[int] = set()
             for s in self.successors[lab]:

@@ -9,8 +9,9 @@ how a child is ordered and which goals count as open:
                          otherwise decides a derived plan without one:
                          ``to``/``toc`` simulate the plan's sequence and
                          ``ua``/``uac`` one linearization, each stopping at
-                         the first false precondition; ``mt`` and every
-                         depth-0 plan compute the goal set)
+                         the first false precondition, and ``mt`` stops at
+                         the first precondition that is not necessarily
+                         true; every depth-0 plan computes the goal set)
   2. goal selection      (first open goal, or a seeded choice)
   3. operator selection  (library operators that add the selected goal)
   4. ordering selection  (planner specific, instrumented): one recipe
@@ -22,7 +23,10 @@ how a child is ordered and which goals count as open:
                          counts its cost; the goals are computed on the
                          first ``goal_set`` call, when a search extends or
                          rates the child, so a leaf a search only tests
-                         for a solution gets none
+                         for a solution gets none, whatever the kind.  A
+                         derived ``ua``/``uac`` child simulates the same
+                         linearization as its solution test, so it sorts
+                         nothing unless that falls back
 
 Planner kinds and their ordering stages:
 
@@ -283,9 +287,10 @@ class Planner:
 
     def is_solution(self, plan: Plan) -> bool:
         """True iff `plan` has no open goal.  A cached goal set answers;
-        otherwise a derived plan is decided by ``_solved``, which for
-        ``to`` and ``ua`` builds no goal set, and a depth-0 plan, which may
-        come from outside, goes through ``goal_set`` and its input checks."""
+        otherwise a derived plan is decided by ``_solved``, which builds
+        no goal set and stops at the first open precondition, and a
+        depth-0 plan, which may come from outside, goes through
+        ``goal_set`` and its input checks."""
         goals = self._goal_cache.get(plan)
         if goals is not None:
             return not goals
@@ -294,7 +299,7 @@ class Planner:
         return not self.goal_set(plan)
 
     def _solved(self, plan: Plan) -> bool:
-        return not self.goal_set(plan)
+        raise NotImplementedError
 
     def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
         raise NotImplementedError
@@ -391,25 +396,30 @@ class UnambiguousPlanner(Planner):
         # one linearization decides necessary falsehood.  A plan this planner
         # derived is unambiguous by construction, and so is the two-step
         # root; only a plan handed in from outside is checked.
-        if plan.parent is None and plan.length > 0 and not is_unambiguous(plan):
-            raise ValueError(f"the {self.kind} planner requires an unambiguous plan")
-        return tuple(false_in_sequence(plan, plan.linear_order))
+        if plan.parent is None:
+            if plan.length > 0 and not is_unambiguous(plan):
+                raise ValueError(f"the {self.kind} planner requires an unambiguous plan")
+            return tuple(false_in_sequence(plan, plan.linear_order))
+        return tuple(false_in_sequence(plan, self._linearization(plan)))
 
     def _solved(self, plan: Plan) -> bool:
-        # Any linearization decides an unambiguous plan.  A derived plan's
-        # order is its parent's plus edges that all touch its new step, the
-        # last label, so the parent's order with the new step placed right
-        # after its last predecessor is one, unless a successor comes
-        # earlier.  It is not the canonical ``linear_order``, so it is not
-        # stored on the plan.
+        return executes(plan, self._linearization(plan))
+
+    @staticmethod
+    def _linearization(plan: Plan) -> tuple[int, ...]:
+        """One linearization of a derived plan, which decides it, since it is
+        unambiguous.  Its order is its parent's plus edges that all touch its
+        new step, the last label, so the parent's order with the new step
+        placed right after its last predecessor is one, unless a successor
+        comes earlier; then the plan's own order is sorted.  The inserted
+        order is not the canonical ``linear_order``, so it is not stored on
+        the plan."""
         seq = plan.parent.linear_order
         new = len(plan.steps) - 1
         at = max(map(seq.index, plan.predecessors[new])) + 1
         if at <= min(map(seq.index, plan.successors[new])):
-            seq = seq[:at] + (new,) + seq[at:]
-        else:
-            seq = plan.linear_order
-        return executes(plan, seq)
+            return seq[:at] + (new,) + seq[at:]
+        return plan.linear_order
 
     def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
         c, needer = goal.condition, goal.needer
@@ -582,6 +592,16 @@ class ModalTruthPlanner(Planner):
             for e in precondition_entries(plan)
             if modal_status(plan, e.needer, e.condition, self._modal_memo)
             is not ModalStatus.NECESSARILY_TRUE
+        )
+
+    def _solved(self, plan: Plan) -> bool:
+        # Stops at the first precondition that is not necessarily true, in
+        # the goal set's order.
+        memo = self._modal_memo
+        return all(
+            modal_status(plan, s.label, c, memo) is ModalStatus.NECESSARILY_TRUE
+            for s in plan.steps
+            for c in sorted(s.pre)
         )
 
     def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:

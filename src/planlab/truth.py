@@ -17,6 +17,11 @@ A caller that asks about many related plans may pass a memo dict, which
 ``modal_status`` keys on the projection's roles and order alone (see its
 docstring); the ``mt`` planner keeps one per planner, so a child's goal
 update reuses the projections it shares with its ancestors and siblings.
+An ``mt`` leaf that no heuristic rates is asked about its preconditions
+only up to the first that is not necessarily true, so fewer projections
+are enumerated (on the benchmark's traced ``descend`` round 0 at seed 0,
+936 ``linear_extensions`` calls rather than 2,110), though enumeration
+stays on the search path.
 
 Conditional effects are inert here: only the effective (unconditional)
 adds and deletes of a step influence truth.  A conditional effect starts

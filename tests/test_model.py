@@ -301,6 +301,31 @@ class TestExtend:
         child = extend(root, step, {(INIT_STEP, 2), (2, FINAL_STEP)})
         child.linear_order  # raises on a cycle
 
+    @pytest.mark.parametrize(
+        "edges",
+        [{(FINAL_STEP, 2)}, {(3, 2)}, {(2, 3), (3, 4), (4, 2)}, {(3, 3)}],
+        ids=["through-the-parent", "reversed", "new-loop", "self"],
+    )
+    def test_closure_from_the_parent_refuses_a_cycle(self, edges):
+        # The parent's closure is cached, so the child derives its own from
+        # it; an edge closing a cycle must be refused there, as the sort
+        # refuses it.
+        parent = plan_of(chain(2), middle=2)
+        assert parent.before(2, 3)
+        child = extend(parent, Step(4, "op2"), {(INIT_STEP, 4), (4, FINAL_STEP)} | edges)
+        with pytest.raises(ValueError, match="plan ordering contains a cycle"):
+            child.after_sets
+        with pytest.raises(ValueError, match="plan ordering contains a cycle"):
+            Plan(child.steps, child.order).after_sets
+
+    def test_closure_from_the_parent_equals_a_fresh_one(self):
+        parent = plan_of(chain(2), middle=4)
+        parent.after_sets
+        child = extend(parent, Step(6, "op4"), {(INIT_STEP, 6), (6, FINAL_STEP), (3, 6), (6, 4)})
+        assert child.after_sets == Plan(child.steps, child.order).after_sets
+        assert child.before(2, 4) and not child.before(4, 5)
+        assert "linear_order" not in child.__dict__  # derived without a sort
+
     @pytest.mark.parametrize("label", [1, 3])
     def test_refuses_a_label_that_is_not_fresh(self, tiny_problem, label):
         root = initial_plan(tiny_problem)

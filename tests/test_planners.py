@@ -26,6 +26,7 @@ from planlab.trees import enumerate_tree
 from planlab.truth import (
     GoalEntry,
     ModalStatus,
+    false_in_sequence,
     last_deleter,
     modal_status,
     precondition_entries,
@@ -553,6 +554,20 @@ class TestLeafDecision:
         assert make_planner("ua", problem).is_solution(child) and not leaf.goals
         assert "linear_order" not in child.__dict__  # decided without a sort
         assert child.linear_order == self.uncached(child).linear_order == (0, 2, 3, 1)
+
+    def test_goal_set_simulates_the_inserted_order(self):
+        # Rating a child reads its goal set, which simulates the same
+        # inserted order as its solution test: no sort, and the goals of
+        # the canonical order.
+        problem = fixture("sussman")
+        planner = make_planner("ua", problem)
+        tree = enumerate_tree(planner, 2)
+        children = [self.uncached(n.plan) for n in tree.nodes if n.plan.depth == 2]
+        assert children
+        for child in children:
+            fresh = Plan(steps=child.steps, order=child.order)
+            assert planner.goal_set(child) == tuple(false_in_sequence(fresh, fresh.linear_order))
+            assert "linear_order" not in child.__dict__
 
 
 class TestLazyChildren:

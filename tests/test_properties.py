@@ -24,8 +24,10 @@ soundness), so ``bfs`` and the state-space oracle may disagree until
 that is settled.  On both kinds of problem, every pair of plans the
 correspondence examines is decided by the label-for-label
 ``is_linearization`` and by the bijection oracle
-``is_linearization_brute`` alike.  The examples are derandomized, so
-every run checks the same problems.
+``is_linearization_brute`` alike, and every node of all five planners'
+trees has the closure and totality of a fresh plan with its steps and
+order, although a derived plan builds its closure from its parent's.  The
+examples are derandomized, so every run checks the same problems.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from planlab.domains import fixture
-from planlab.model import Problem, cond, is_linearization, make_op
+from planlab.model import Plan, Problem, cond, is_linearization, make_op
 from planlab.oracle import minimal_solution_length
 from planlab.planners import make_planner
 from planlab.search import StrategyConfig, bfs
@@ -326,6 +328,21 @@ def test_is_linearization_agrees_with_the_bijection_oracle(problem, depth):
     for kinds in (("ua", "to"), ("uac", "toc")):
         with mock.patch.object(trees, "is_linearization", cross_checked):
             build_correspondence(*_trees(problem, depth, kinds))
+
+
+@EXAMPLES
+@given(problem=st.one_of(problems(), conditional_problems()), depth=st.sampled_from((3, 2, 1, 0)))
+@example(problem=TWO_INTERACTING, depth=3)
+@example(problem=CONDITIONAL[1][0], depth=3)
+def test_every_node_has_the_closure_of_a_fresh_plan(problem, depth):
+    # Nodes come parent first, so reading each node's closure caches its
+    # parent's before it: every derived plan derives its closure from it.
+    for kind in ("to", "ua", "toc", "uac", "mt"):
+        for node in enumerate_tree(make_planner(kind, problem), depth).nodes:
+            plan = node.plan
+            fresh = Plan(steps=plan.steps, order=plan.order)
+            assert plan.after_sets == fresh.after_sets, (kind, node.id)
+            assert plan.is_total == fresh.is_total, (kind, node.id)
 
 
 @EXAMPLES

@@ -25,8 +25,9 @@ from planlab.search import (
     run_search,
     run_trials,
 )
-from planlab import trees
+from planlab import planners, trees
 from planlab.trees import TreeCeilingError, _Tally, enumerate_tree
+from planlab.truth import precondition_entries
 
 from helpers import mean_probes_until_solution
 
@@ -329,9 +330,13 @@ class TestLeafGoals:
     """A search computes goal sets only for the plans it extends or rates:
     a leaf at the depth limit is decided without one."""
 
-    @staticmethod
-    def spied_run(kind, strategy, heuristic):
-        length, problem = suite_problems()["blocks4_seed6"]
+    # mt, which may spend an extension on reusing a step, solves few suite
+    # problems at their length; this one under every strategy.
+    PROBLEM = {"to": "blocks4_seed6", "ua": "blocks4_seed6", "mt": "blocks4_seed29"}
+
+    @classmethod
+    def spied_run(cls, kind, strategy, heuristic):
+        length, problem = suite_problems()[cls.PROBLEM[kind]]
         planner = make_planner(kind, problem, PlannerConfig("seeded", 1))
         computed, solved = [], []
         compute, decide = planner._compute_goals, planner._solved
@@ -350,12 +355,33 @@ class TestLeafGoals:
         assert out.solved and out.solution.depth == length
         return length, computed, solved
 
-    @pytest.mark.parametrize("kind", ["to", "ua"])
+    @pytest.mark.parametrize("kind", ["to", "ua", "mt"])
     @pytest.mark.parametrize("strategy", ["dfs", "isamp", "ibroad"])
     def test_no_leaf_at_the_limit_computes_goals(self, kind, strategy):
         length, computed, solved = self.spied_run(kind, strategy, "none")
         assert computed and all(plan.depth < length for plan in computed)
         assert solved and all(plan.depth == length for plan in solved)
+
+    def test_an_open_mt_leaf_stops_at_its_first_open_precondition(self, monkeypatch):
+        # Each sussman child establishes one of two goals, so the other, an
+        # entry of the final step, is open: the test asks about it before
+        # any precondition of a later step.
+        problem = fixture("sussman")
+        tree = enumerate_tree(make_planner("mt", problem), 1)
+        leaves = [n.plan for n in tree.nodes if n.plan.depth == 1 and n.goals]
+        queries = []
+        modal_status = planners.modal_status
+
+        def spy(plan, needer, c, memo=None):
+            queries.append((needer, c))
+            return modal_status(plan, needer, c, memo)
+
+        monkeypatch.setattr(planners, "modal_status", spy)
+        assert leaves
+        for plan in leaves:
+            queries.clear()
+            assert not make_planner("mt", problem).is_solution(plan)
+            assert len(queries) < len(precondition_entries(plan))
 
     @pytest.mark.parametrize("kind", ["to", "ua"])
     @pytest.mark.parametrize("strategy", ["dfs", "ibroad"])
