@@ -9,8 +9,10 @@ in derivation order.  Relational queries (before/after, totality) are
 answered on the transitive closure of the edge set, which is computed
 lazily and cached per plan.  A child plan derives its closure from its
 parent's, when that is cached, by adding only its new edges; a plan with
-no parent, or whose parent's closure was never asked for, sorts and closes
-its own order.
+no parent, or whose parent's closure was never asked for, closes its own
+order along its linearization.  A plan's linearization is one
+topological order of its steps: the planner that builds a child presets
+the one it built, and any other plan sorts its own.
 
 Plans compare by identity, not by field value: two nodes of a search tree
 may carry structurally identical plans and must stay distinct.
@@ -189,8 +191,9 @@ class Plan:
 
     @cached_property
     def linear_order(self) -> tuple[int, ...]:
-        """Smallest-label-first topological order of the labels; the one
-        linearization every plan query and planner reads."""
+        """A linearization of the plan: a topological order of its labels.
+        A planner presets the one it built for a child it derives; any
+        other plan is sorted smallest label first."""
         successors = self.successors
         indeg = {lab: len(preds) for lab, preds in self.predecessors.items()}
         ready = sorted((lab for lab, d in indeg.items() if d == 0), reverse=True)
@@ -217,7 +220,8 @@ class Plan:
         A plan extended from a parent whose closure is cached starts from
         that closure and adds its new edges one at a time: an edge (a, b)
         puts b and everything after b after a and after everything before
-        a.  Any other plan is sorted and closed from its last label back."""
+        a.  Any other plan is closed along its linearization, last label
+        first."""
         parent = self.parent
         if parent is not None and "after_sets" in parent.__dict__ and parent.order <= self.order:
             out = dict.fromkeys(self.labels, frozenset())

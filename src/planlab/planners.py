@@ -7,11 +7,12 @@ how a child is ordered and which goals count as open:
   1. termination check   (``children`` refuses solved plans;
                          ``is_solution`` reads a cached goal set, and
                          otherwise decides a derived plan without one:
-                         ``to``/``toc`` simulate the plan's sequence and
-                         ``ua``/``uac`` one linearization, each stopping at
+                         ``to``/``ua`` and their conditional variants
+                         simulate the plan's ``linear_order``, stopping at
                          the first false precondition, and ``mt`` stops at
                          the first precondition that is not necessarily
-                         true; every depth-0 plan computes the goal set)
+                         true; every depth-0 plan computes the goal set,
+                         after the planner's input check)
   2. goal selection      (first open goal, or a seeded choice)
   3. operator selection  (library operators that add the selected goal)
   4. ordering selection  (planner specific, instrumented): one recipe
@@ -23,10 +24,11 @@ how a child is ordered and which goals count as open:
                          counts its cost; the goals are computed on the
                          first ``goal_set`` call, when a search extends or
                          rates the child, so a leaf a search only tests
-                         for a solution gets none, whatever the kind.  A
-                         derived ``ua``/``uac`` child simulates the same
-                         linearization as its solution test, so it sorts
-                         nothing unless that falls back
+                         for a solution gets none, whatever the kind.
+                         ``to`` and ``ua`` share one rule: simulate the
+                         plan's ``linear_order``, which every child they
+                         build carries, so a derived plan is sorted only
+                         where a ``ua`` insertion does not fit
 
 Planner kinds and their ordering stages:
 
@@ -41,7 +43,11 @@ Planner kinds and their ordering stages:
          by every adder instance; a child's recipe is its new step and its
          own interaction edges, and the built child gets the shared
          adjacency plus those edges, so it never rebuilds it from its edge
-         set.
+         set.  The built child also carries its parent's linearization
+         with the new step right after its last predecessor, unless one of
+         its successors comes earlier; then it sorts its own.  Every plan
+         this planner builds is unambiguous, so any linearization decides
+         its goals, as a ``to`` plan's one sequence does.
 ``toc``/``uac``  the conditional-effect variants: operator selection also
          instantiates specialized copies of operators that conditionally
          add the goal, interaction detection widens to dependency
@@ -96,7 +102,6 @@ from .truth import (
     is_unambiguous,
     last_deleter,
     modal_status,
-    precondition_entries,
     steps_interact,
 )
 
@@ -281,6 +286,8 @@ class Planner:
         hit = self._goal_cache.get(plan)
         if hit is not None:
             return hit
+        if plan.parent is None:
+            self._check_input(plan)
         goals = self._compute_goals(plan)
         self._goal_cache[plan] = goals
         return goals
@@ -298,11 +305,17 @@ class Planner:
             return self._solved(plan)
         return not self.goal_set(plan)
 
-    def _solved(self, plan: Plan) -> bool:
-        raise NotImplementedError
+    def _check_input(self, plan: Plan) -> None:
+        """Refuse a depth-0 plan, which may come from outside, that this
+        planner's goal rule cannot read."""
 
+    # The goal rule of ``to`` and ``ua``, whose plans any linearization
+    # decides; ``mt`` plans may be ambiguous and ask modal truth instead.
     def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
-        raise NotImplementedError
+        return tuple(false_in_sequence(plan, plan.linear_order))
+
+    def _solved(self, plan: Plan) -> bool:
+        return executes(plan, plan.linear_order)
 
     def select_goal(self, plan: Plan, goals: tuple[GoalEntry, ...]) -> GoalEntry:
         if self.config.goal_selection == "seeded":
@@ -344,11 +357,8 @@ class TotalOrderPlanner(Planner):
 
     kind = "to"
 
-    def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
-        return tuple(false_in_sequence(plan, plan.sequence))
-
-    def _solved(self, plan: Plan) -> bool:
-        return executes(plan, plan.sequence)
+    def _check_input(self, plan: Plan) -> None:
+        plan.sequence  # raises unless the plan is totally ordered
 
     def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
         c, needer = goal.condition, goal.needer
@@ -391,35 +401,11 @@ class UnambiguousPlanner(Planner):
 
     kind = "ua"
 
-    def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
-        # Valid because every plan this planner touches is unambiguous:
-        # one linearization decides necessary falsehood.  A plan this planner
-        # derived is unambiguous by construction, and so is the two-step
-        # root; only a plan handed in from outside is checked.
-        if plan.parent is None:
-            if plan.length > 0 and not is_unambiguous(plan):
-                raise ValueError(f"the {self.kind} planner requires an unambiguous plan")
-            return tuple(false_in_sequence(plan, plan.linear_order))
-        return tuple(false_in_sequence(plan, self._linearization(plan)))
-
-    def _solved(self, plan: Plan) -> bool:
-        return executes(plan, self._linearization(plan))
-
-    @staticmethod
-    def _linearization(plan: Plan) -> tuple[int, ...]:
-        """One linearization of a derived plan, which decides it, since it is
-        unambiguous.  Its order is its parent's plus edges that all touch its
-        new step, the last label, so the parent's order with the new step
-        placed right after its last predecessor is one, unless a successor
-        comes earlier; then the plan's own order is sorted.  The inserted
-        order is not the canonical ``linear_order``, so it is not stored on
-        the plan."""
-        seq = plan.parent.linear_order
-        new = len(plan.steps) - 1
-        at = max(map(seq.index, plan.predecessors[new])) + 1
-        if at <= min(map(seq.index, plan.successors[new])):
-            return seq[:at] + (new,) + seq[at:]
-        return plan.linear_order
+    def _check_input(self, plan: Plan) -> None:
+        # A plan this planner derived is unambiguous by construction, and so
+        # is the two-step root; only a plan handed in from outside is checked.
+        if plan.length > 0 and not is_unambiguous(plan):
+            raise ValueError(f"the {self.kind} planner requires an unambiguous plan")
 
     def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
         c, needer = goal.condition, goal.needer
@@ -480,11 +466,19 @@ class UnambiguousPlanner(Planner):
 
             branch(0, before, after, frozenset(), visits)
 
+        # Every new edge touches the new step, so the parent's order with the
+        # new step right after its last predecessor is a linearization of the
+        # child, unless a successor comes earlier; then the child sorts its own.
+        seq = plan.linear_order
+        position = {lab: i for i, lab in enumerate(seq)}.__getitem__
+
         def build(new_step: Step, extra: frozenset[tuple[int, int]]) -> Plan:
             child = extend(plan, new_step, base | extra)
-            child.__dict__["predecessors"], child.__dict__["successors"] = _add_edges(
-                preds, succs, extra
-            )
+            cpreds, csuccs = _add_edges(preds, succs, extra)
+            child.__dict__["predecessors"], child.__dict__["successors"] = cpreds, csuccs
+            at = max(map(position, cpreds[label])) + 1
+            if at <= min(map(position, csuccs[label])):
+                child.__dict__["linear_order"] = seq[:at] + (label,) + seq[at:]
             return child
 
         return ExtensionResult(LazyChildren(build, recipes), tuple(costs))
@@ -586,23 +580,20 @@ class ModalTruthPlanner(Planner):
         super().__init__(problem, config)
         self._modal_memo: dict[tuple, ModalStatus] = {}
 
+    def _open(self, plan: Plan) -> Iterator[GoalEntry]:
+        """The preconditions that are not necessarily true, asked one at a
+        time in the goal set's order: steps by label, conditions sorted."""
+        by_label, memo = plan.by_label, self._modal_memo
+        for lab in sorted(by_label):
+            for c in sorted(by_label[lab].pre):
+                if modal_status(plan, lab, c, memo) is not ModalStatus.NECESSARILY_TRUE:
+                    yield GoalEntry(lab, c)
+
     def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
-        return tuple(
-            e
-            for e in precondition_entries(plan)
-            if modal_status(plan, e.needer, e.condition, self._modal_memo)
-            is not ModalStatus.NECESSARILY_TRUE
-        )
+        return tuple(self._open(plan))
 
     def _solved(self, plan: Plan) -> bool:
-        # Stops at the first precondition that is not necessarily true, in
-        # the goal set's order.
-        memo = self._modal_memo
-        return all(
-            modal_status(plan, s.label, c, memo) is ModalStatus.NECESSARILY_TRUE
-            for s in plan.steps
-            for c in sorted(s.pre)
-        )
+        return next(self._open(plan), None) is None
 
     def _extensions(self, plan: Plan, goal: GoalEntry) -> ExtensionResult:
         """Every establishment of `goal` with its threats resolved."""

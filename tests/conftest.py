@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 
@@ -113,3 +114,20 @@ def tiny_problem() -> Problem:
             make_op("spoil", pre=["p"], adds=["x"], dels=["p"]),
         ),
     )
+
+
+@pytest.fixture
+def kahn_sorts(monkeypatch) -> list[Plan]:
+    """Every plan whose ``linear_order`` is computed by the topological
+    sort, rather than preset by a planner, while the test runs."""
+    sorted_plans: list[Plan] = []
+    kahn = Plan.__dict__["linear_order"].func
+
+    def spy(plan: Plan) -> tuple[int, ...]:
+        sorted_plans.append(plan)
+        return kahn(plan)
+
+    prop = cached_property(spy)
+    prop.__set_name__(Plan, "linear_order")
+    monkeypatch.setattr(Plan, "linear_order", prop)
+    return sorted_plans

@@ -6,8 +6,10 @@
 criterion C09 compares against.  ``equivalent``,
 ``is_linearization_brute``, ``is_unambiguous_brute``, ``is_solution_plan``
 and ``is_compact_solution`` are brute-force oracles the tests compare
-planner output against, and ``validate_plan`` checks a plan's structural
-invariants.
+planner output against, ``validate_plan`` checks a plan's structural
+invariants, ``orders_forward`` checks a label sequence against a plan's
+order, and ``runs_to_the_goals`` executes one with the state-space
+oracle's ``apply_operator``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from planlab.model import (
     linear_extensions,
     restrict,
 )
-from planlab.oracle import minimal_solution_length
+from planlab.oracle import apply_operator, minimal_solution_length
 from planlab.planners import make_planner
 from planlab.search import StrategyConfig, run_trials
 from planlab.trees import TreeCeilingError, enumerate_tree
@@ -199,6 +201,32 @@ def validate_plan(plan: Plan) -> None:
             raise ValueError(f"final step does not follow step {lab}")
     if (plan.parent is None) != (plan.depth == 0):
         raise ValueError("parent must be absent exactly at derivation depth 0")
+
+
+def orders_forward(plan: Plan, seq: tuple[int, ...]) -> bool:
+    """True iff `seq` lists each of `plan`'s labels once and places every
+    edge of its order forward: `seq` is a linearization of `plan`."""
+    position = {lab: i for i, lab in enumerate(seq)}
+    return (
+        len(seq) == len(plan.labels)
+        and position.keys() == set(plan.labels)
+        and all(position[a] < position[b] for a, b in plan.order)
+    )
+
+
+def runs_to_the_goals(problem: Problem, plan: Plan, seq: tuple[int, ...]) -> bool:
+    """True iff the steps of `plan` between its sentinels, run in the order
+    of `seq` from the initial state under ``oracle.apply_operator``, are
+    each applicable and end in a state holding every goal."""
+    state = frozenset(problem.init)
+    for lab in seq:
+        if lab in (INIT_STEP, FINAL_STEP):
+            continue
+        step = plan.by_label[lab]
+        if not step.pre <= state:
+            return False
+        state = apply_operator(state, step)
+    return problem.goals <= state
 
 
 def is_unambiguous_brute(plan: Plan) -> bool:

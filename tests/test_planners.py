@@ -34,7 +34,7 @@ from planlab.truth import (
 )
 
 from conftest import chain_plan, linearization_plans
-from helpers import equivalent, is_unambiguous_brute, validate_plan
+from helpers import equivalent, is_unambiguous_brute, orders_forward, validate_plan
 
 
 def named_problem(name: str) -> Problem:
@@ -105,6 +105,21 @@ class TestTotalOrderChildren:
         solved = chain_plan(tiny_problem, ["win"])
         with pytest.raises(ValueError):
             planner.children(solved)
+
+    def test_partial_input_rejected(self, tiny_problem):
+        # Two unordered wins: every linearization solves the plan, but it is
+        # not totally ordered, so the total-order planners refuse it.
+        win = tiny_problem.library[0]
+        root = initial_plan(tiny_problem)
+        plan = Plan(
+            steps=root.steps + (Step.from_schema(win, 2), Step.from_schema(win, 3)),
+            order=root.order | {(INIT_STEP, 2), (2, FINAL_STEP), (INIT_STEP, 3), (3, FINAL_STEP)},
+        )
+        for kind in ("to", "toc"):
+            planner = make_planner(kind, tiny_problem)
+            for entry in (planner.goal_set, planner.is_solution, planner.children):
+                with pytest.raises(ValueError, match="plan is not totally ordered"):
+                    entry(plan)
 
     def test_child_bookkeeping(self, tiny_problem):
         planner = make_planner("to", tiny_problem)
@@ -513,61 +528,54 @@ class TestLazyGoals:
 
 
 class TestLeafDecision:
-    """A derived ``ua`` plan is decided by one linearization: its parent's
-    order with the new step inserted, or the canonical order when the
-    insertion would put the new step after one of its successors."""
+    """A derived ``ua`` plan carries the linearization its planner built, its
+    parent's with the new step right after its last predecessor, and is
+    decided by it.  Only when a successor of the new step comes earlier in
+    the parent's order does the plan sort its own."""
 
-    @staticmethod
-    def uncached(plan: Plan) -> Plan:
-        """`plan` with nothing derived yet: no order, goals or adjacency."""
-        return Plan(plan.steps, plan.order, plan.parent, plan.depth)
-
-    def test_fallback_when_a_successor_comes_first(self):
-        # supplier (3) < relay (4) < closer (2): in the parent's order
-        # (0, 2, 3, 1) the relay's last predecessor, the supplier, comes
-        # after its successor, the closer.
+    def test_a_child_the_insertion_fits_carries_it(self, kahn_sorts):
+        # supplier (3) < relay (4) < closer (2): the parent carries the
+        # order it was built with, the supplier right after the initial
+        # step, so the relay fits between the supplier and the closer.
         problem = fixture("fig9")
         tree = enumerate_tree(make_planner("ua", problem), 3)
         node = find_node(tree, ["closer", "supplier", "relay"], require_goals=False)
-        child = self.uncached(node.plan)
+        child = node.plan
         new = len(child.steps) - 1
-        assert child.parent.linear_order == (0, 2, 3, 1)
         assert (child.predecessors[new], child.successors[new]) == ((0, 3), (1, 2))
-        planner = make_planner("ua", problem)
-        assert planner.is_solution(child) and not node.goals
-        assert "linear_order" in child.__dict__  # the fallback sorted
-        assert child.linear_order == self.uncached(child).linear_order == (0, 3, 4, 2, 1)
-        assert not planner.goal_set(child)
+        assert child.parent.linear_order == (0, 3, 2, 1)
+        assert child.linear_order == (0, 3, 4, 2, 1)
+        assert kahn_sorts == [tree.nodes[0].plan]  # the root alone was sorted
+        assert make_planner("ua", problem).is_solution(child) and not node.goals
 
-    def test_inserted_order_is_not_stored(self):
-        # o1's step goes right after the initial step, before o0's, which
-        # is not the smallest-label-first order
-        problem = Problem(
-            "independent",
-            frozenset(),
-            frozenset({"a", "b"}),
-            (make_op("o0", adds={"a"}), make_op("o1", adds={"b"})),
-        )
-        tree = enumerate_tree(make_planner("ua", problem), 2)
-        (leaf,) = [n for n in tree.nodes if n.plan.depth == 2]
-        child = self.uncached(leaf.plan)
-        assert make_planner("ua", problem).is_solution(child) and not leaf.goals
-        assert "linear_order" not in child.__dict__  # decided without a sort
-        assert child.linear_order == self.uncached(child).linear_order == (0, 2, 3, 1)
+    def test_a_child_sorts_when_a_successor_comes_first(self, kahn_sorts):
+        # In the parent's order (0, 3, 2, 1) the new step's predecessor 2
+        # comes after its successor 3, so no insertion fits.
+        problem = named_problem("blocks4_seed11")
+        tree = enumerate_tree(make_planner("ua", problem), 3)
+        fallbacks = [plan for plan in kahn_sorts if plan.parent is not None]
+        assert len(fallbacks) == 2
+        for child in fallbacks:
+            new = len(child.steps) - 1
+            assert child.parent.linear_order == (0, 3, 2, 1)
+            assert (child.predecessors[new], child.successors[new]) == ((0, 2), (1, 3))
+            assert child.linear_order == (0, 2, 4, 3, 1)
+        assert len(kahn_sorts) == 3 and len(tree.nodes) > 100
 
-    def test_goal_set_simulates_the_inserted_order(self):
-        # Rating a child reads its goal set, which simulates the same
-        # inserted order as its solution test: no sort, and the goals of
-        # the canonical order.
-        problem = fixture("sussman")
+    def test_goal_set_simulates_the_carried_order(self, kahn_sorts):
+        # Rating a child reads its goal set, which simulates the order it
+        # carries, here often not the smallest-label-first one: no sort, and
+        # the goals a fresh plan's order gives.
+        problem = fixture("fig9")
+        tree = enumerate_tree(make_planner("ua", problem), 3)
+        children = [n.plan for n in tree.nodes if n.plan.parent is not None]
+        assert children and len(kahn_sorts) == 1
         planner = make_planner("ua", problem)
-        tree = enumerate_tree(planner, 2)
-        children = [self.uncached(n.plan) for n in tree.nodes if n.plan.depth == 2]
-        assert children
-        for child in children:
-            fresh = Plan(steps=child.steps, order=child.order)
-            assert planner.goal_set(child) == tuple(false_in_sequence(fresh, fresh.linear_order))
-            assert "linear_order" not in child.__dict__
+        goals = [planner.goal_set(child) for child in children]
+        assert len(kahn_sorts) == 1
+        fresh = [Plan(steps=child.steps, order=child.order) for child in children]
+        assert goals == [tuple(false_in_sequence(f, f.linear_order)) for f in fresh]
+        assert any(c.linear_order != f.linear_order for c, f in zip(children, fresh))
 
 
 class TestLazyChildren:
@@ -658,8 +666,9 @@ class TestGoalSelection:
 
 class TestChildPlans:
     """A child's preset or inherited order caches (``to`` chains, ``ua``
-    adjacency, role variants) must equal what a freshly built plan
-    computes."""
+    adjacency and linearizations, role variants) must agree with what a
+    freshly built plan computes: a ``ua`` plan's linearization need not be
+    the fresh plan's, but must be one."""
 
     @pytest.mark.parametrize(
         "name, kind, depth",
@@ -683,7 +692,9 @@ class TestChildPlans:
             fresh = Plan(steps=plan.steps, order=plan.order)
             assert plan.predecessors == fresh.predecessors
             assert plan.successors == fresh.successors
-            assert plan.linear_order == fresh.linear_order
+            assert orders_forward(plan, plan.linear_order)
+            if kind in ("to", "toc"):
+                assert plan.linear_order == fresh.linear_order
             assert plan.is_total == fresh.is_total
             assert plan.after_sets == fresh.after_sets
             assert list(plan.labels) == sorted(plan.labels)

@@ -11,23 +11,27 @@ planner solves within depth 3 exactly when the state-space oracle's
 minimal length is at most 3, and at that length (completeness).  Every
 ``mt`` node's goals are checked against the all-linearizations oracle,
 and every ``to``, ``ua`` and ``mt`` node's ``is_solution`` against its
-goal set, with the goal set cached and without.  Half the problems are
-built along a walk of operators, so many need two or three steps; a
-floor on those is checked too.
+goal set, with the goal set cached and without.  Every ``to``, ``ua``
+and ``mt`` solution is sound: each of its linearizations runs from the
+initial state under the oracle's ``apply_operator`` and reaches the goals.
+Half the problems are built along a walk of operators, so many need two
+or three steps; a floor on those is checked too.
 
 A second strategy draws conditional problems: operators with conditional
 adds and conditional deletes.  The ``uac``/``toc`` trees are checked for
 totality, disjointness, partition, unambiguity and the h-property.
-Completeness is left out for them: a conditional delete that fires can
-make a conditional solution unsound (see ROADMAP, conditional-delete
-soundness), so ``bfs`` and the state-space oracle may disagree until
-that is settled.  On both kinds of problem, every pair of plans the
-correspondence examines is decided by the label-for-label
+Completeness and soundness are left out for them: a conditional delete
+that fires can make a conditional solution unsound (see ROADMAP,
+conditional-delete soundness), so ``bfs`` and the state-space oracle may
+disagree until that is settled.  On both kinds of problem, every pair of
+plans the correspondence examines is decided by the label-for-label
 ``is_linearization`` and by the bijection oracle
 ``is_linearization_brute`` alike, and every node of all five planners'
 trees has the closure and totality of a fresh plan with its steps and
-order, although a derived plan builds its closure from its parent's.  The
-examples are derandomized, so every run checks the same problems.
+order, although a derived plan builds its closure from its parent's, and
+carries a linearization of its order: for ``to``/``toc`` the fresh plan's
+one, for the other kinds perhaps another.  The examples are derandomized,
+so every run checks the same problems.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from planlab.domains import fixture
-from planlab.model import Plan, Problem, cond, is_linearization, make_op
+from planlab.model import Plan, Problem, cond, is_linearization, linear_extensions, make_op
 from planlab.oracle import minimal_solution_length
 from planlab.planners import make_planner
 from planlab.search import StrategyConfig, bfs
@@ -59,7 +63,12 @@ from planlab.truth import (
     precondition_entries,
 )
 
-from helpers import is_linearization_brute, is_unambiguous_brute
+from helpers import (
+    is_linearization_brute,
+    is_unambiguous_brute,
+    orders_forward,
+    runs_to_the_goals,
+)
 
 PROPS = ("a", "b", "c", "d")
 SUBSETS = st.integers(0, 2 ** len(PROPS) - 1).map(
@@ -343,6 +352,26 @@ def test_every_node_has_the_closure_of_a_fresh_plan(problem, depth):
             fresh = Plan(steps=plan.steps, order=plan.order)
             assert plan.after_sets == fresh.after_sets, (kind, node.id)
             assert plan.is_total == fresh.is_total, (kind, node.id)
+            # A ua plan carries the linearization its planner built, which
+            # need not be the fresh plan's; a total plan has only one.
+            assert orders_forward(plan, plan.linear_order), (kind, node.id)
+            if kind in ("to", "toc"):
+                assert plan.linear_order == fresh.linear_order, (kind, node.id)
+
+
+@EXAMPLES
+@given(problem=problems(), depth=st.sampled_from((3, 2, 1, 0)))
+@example(problem=INDEPENDENT, depth=2)
+@example(problem=TWO_INTERACTING, depth=3)
+@example(problem=fixture("fig9"), depth=3)
+def test_every_solution_executes_in_every_linearization(problem, depth):
+    # Soundness, judged by the state-space oracle's own semantics rather
+    # than by the planners' truth criteria.
+    for kind in ("to", "ua", "mt"):
+        for node in enumerate_tree(make_planner(kind, problem), depth).nodes:
+            if not node.goals:
+                for seq in linear_extensions(node.plan):
+                    assert runs_to_the_goals(problem, node.plan, seq), (kind, node.id, seq)
 
 
 @EXAMPLES

@@ -392,6 +392,29 @@ class TestLeafGoals:
         assert not solved  # every visited leaf was rated first
 
 
+class TestCarriedLinearizations:
+    @staticmethod
+    def falls_back(plan) -> bool:
+        """True iff a last predecessor of `plan`'s new step comes after one
+        of its successors in its parent's order, so no insertion fits."""
+        position = plan.parent.linear_order.index
+        new = len(plan.steps) - 1
+        return max(map(position, plan.predecessors[new])) > min(
+            map(position, plan.successors[new])
+        )
+
+    def test_ua_dfs_sorts_only_the_root_and_fallback_plans(self, kahn_sorts):
+        length, problem = suite_problems()["blocks4_seed391"]
+        planner = make_planner("ua", problem, PlannerConfig("seeded", 1))
+        out = run_search(planner, StrategyConfig(strategy="dfs", depth_limit=length, seed=1))
+        sorted_plans = list(kahn_sorts)
+        roots = [plan for plan in sorted_plans if plan.parent is None]
+        assert len(roots) == 1
+        fallbacks = [plan for plan in sorted_plans if plan.parent is not None]
+        assert fallbacks and all(self.falls_back(plan) for plan in fallbacks)
+        assert len(sorted_plans) < out.nodes_expanded / 100
+
+
 class TestMinGoals:
     def test_solved_plan_rates_zero(self, tiny_problem):
         from conftest import chain_plan
