@@ -434,6 +434,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_tree(args: argparse.Namespace) -> int:
+    if args.output:
+        _check_writable(Path(args.output))
     problem = _load_problem(args.problem)
     depth = _resolve_depth(problem, args.depth_limit)
     planner = make_planner(args.planner, problem, _planner_config(args))

@@ -5,14 +5,16 @@ A plan is an immutable value: a set of uniquely labeled steps plus a set of
 direct ordering edges over step labels.  Label 0 is always the initial step
 (it adds the problem's initial state) and label 1 the final step (its
 preconditions are the problem's goals); further steps are labeled 2, 3, ...
-in derivation order.  Relational queries (before/after, totality) are
-answered on the transitive closure of the edge set, which is computed
-lazily and cached per plan.  A child plan derives its closure from its
-parent's, when that is cached, by adding only its new edges; a plan with
-no parent, or whose parent's closure was never asked for, closes its own
-order along its linearization.  A plan's linearization is one
-topological order of its steps: the planner that builds a child presets
-the one it built, and any other plan sorts its own.
+in derivation order.  A plan caches views of its order: its adjacency,
+one linearization (which also decides totality) and the transitive
+closure (which answers before/after).  A child derives each from its
+parent's, when that is cached and the child's order contains the
+parent's, by adding only its new edges: the linearization when ``extend``
+builds the child, the others when first asked for.  Any other plan
+computes the view afresh, its linearization by Kahn's sort
+(``topological_order``).  Only this module reads the cache;
+``with_steps`` hands a plan's order views to a plan that differs from it
+in its steps alone.
 
 Plans compare by identity, not by field value: two nodes of a search tree
 may carry structurally identical plans and must stay distinct.
@@ -20,7 +22,8 @@ may carry structurally identical plans and must stay distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -158,8 +161,8 @@ class Plan:
 
     ``order`` stores direct edges only; the full strict partial order is
     their transitive closure.  ``parent`` is the plan this one was extended
-    from (None exactly for depth-0 plans); it records derivation identity,
-    not structure.
+    from (None exactly for depth-0 plans): derivation identity, from whose
+    cached order views this plan derives its own.
     """
 
     steps: tuple[Step, ...]
@@ -176,71 +179,55 @@ class Plan:
         return tuple(s.label for s in self.steps)
 
     @cached_property
+    def new_edges(self) -> Optional[frozenset[tuple[int, int]]]:
+        """The edges this plan adds to its parent's order; None when it has
+        no parent or its order does not contain the parent's."""
+        parent = self.parent
+        return self.order - parent.order if parent is not None and parent.order <= self.order else None
+
+    def _derives(self, view: str) -> bool:
+        """True iff this plan derives `view` from its parent's: that is
+        cached, and this plan's order contains the parent's."""
+        return self.parent is not None and view in self.parent.__dict__ and self.new_edges is not None
+
+    @cached_property
     def successors(self) -> dict[int, tuple[int, ...]]:
-        succ: dict[int, list[int]] = {lab: [] for lab in self.labels}
-        for a, b in self.order:
-            succ[a].append(b)
-        return {lab: tuple(sorted(v)) for lab, v in succ.items()}
+        if self._derives("successors"):
+            return grow_adjacency(self.parent.successors, self.labels, self.new_edges)
+        return grow_adjacency({}, self.labels, self.order)
 
     @cached_property
     def predecessors(self) -> dict[int, tuple[int, ...]]:
-        pred: dict[int, list[int]] = {lab: [] for lab in self.labels}
-        for a, b in self.order:
-            pred[b].append(a)
-        return {lab: tuple(sorted(v)) for lab, v in pred.items()}
+        if self._derives("predecessors"):
+            return grow_adjacency(self.parent.predecessors, self.labels, ((b, a) for a, b in self.new_edges))
+        return grow_adjacency({}, self.labels, ((b, a) for a, b in self.order))
 
     @cached_property
     def linear_order(self) -> tuple[int, ...]:
-        """A linearization of the plan: a topological order of its labels.
-        A planner presets the one it built for a child it derives; any
-        other plan is sorted smallest label first."""
-        successors = self.successors
-        indeg = {lab: len(preds) for lab, preds in self.predecessors.items()}
-        ready = sorted((lab for lab, d in indeg.items() if d == 0), reverse=True)
-        out: list[int] = []
-        while ready:
-            lab = ready.pop()
-            out.append(lab)
-            changed = False
-            for s in successors[lab]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-                    changed = True
-            if changed:
-                ready.sort(reverse=True)
-        if len(out) != len(indeg):
-            raise ValueError("plan ordering contains a cycle")
-        return tuple(out)
+        """A topological order of the plan's labels: the one ``extend``
+        derived from the parent's, or else ``topological_order``'s."""
+        return topological_order(self)
 
     @cached_property
     def after_sets(self) -> dict[int, frozenset[int]]:
         """label -> every label strictly after it (transitive closure).
 
-        A plan extended from a parent whose closure is cached starts from
-        that closure and adds its new edges one at a time: an edge (a, b)
-        puts b and everything after b after a and after everything before
-        a.  Any other plan is closed along its linearization, last label
-        first."""
-        parent = self.parent
-        if parent is not None and "after_sets" in parent.__dict__ and parent.order <= self.order:
-            out = dict.fromkeys(self.labels, frozenset())
-            out.update(parent.after_sets)
-            for a, b in self.order - parent.order:
-                if a == b or a in out[b]:
-                    raise ValueError("plan ordering contains a cycle")
-                reach = out[b] | {b}
-                for lab, later in out.items():
-                    if (lab == a or a in later) and not reach <= later:
-                        out[lab] = later | reach
-            return out
-        out = {}
-        for lab in reversed(self.linear_order):
-            acc: set[int] = set()
-            for s in self.successors[lab]:
-                acc.add(s)
-                acc |= out[s]
-            out[lab] = frozenset(acc)
+        A plan that derives it from its parent's starts from that closure
+        and adds its new edges; any other plan starts from none and adds
+        every edge.  An edge (a, b) puts b and everything after b after a
+        and after everything before a."""
+        out = dict.fromkeys(self.labels, frozenset())
+        edges = self.order
+        if self._derives("after_sets"):
+            out.update(self.parent.after_sets)
+            edges = self.new_edges
+        for a, b in edges:
+            if a == b or a in out[b]:
+                raise ValueError("plan ordering contains a cycle")
+            reach = out[b] | {b}
+            for lab, later in out.items():
+                if (lab == a or a in later) and not reach <= later:
+                    out[lab] = later | reach
         return out
 
     def before(self, a: int, b: int) -> bool:
@@ -249,9 +236,10 @@ class Plan:
 
     @cached_property
     def is_total(self) -> bool:
-        n = len(self.labels)
-        comparable = sum(len(v) for v in self.after_sets.values())
-        return comparable == n * (n - 1) // 2
+        """True iff the order is total: every consecutive pair of
+        ``linear_order`` is an edge, so no other linearization exists."""
+        seq = self.linear_order
+        return self.order.issuperset(zip(seq, seq[1:]))
 
     @property
     def sequence(self) -> tuple[int, ...]:
@@ -268,12 +256,6 @@ class Plan:
     def length(self) -> int:
         """Number of steps excluding the initial and final sentinels."""
         return len(self.steps) - 2
-
-    def step(self, label: int) -> Step:
-        try:
-            return self.by_label[label]
-        except KeyError:
-            raise ValueError(f"plan has no step labeled {label}") from None
 
 
 @dataclass(frozen=True)
@@ -331,12 +313,71 @@ def extend(parent: Plan, new_step: Optional[Step], new_edges: Iterable[tuple[int
         steps = parent.steps + (new_step,)
     else:
         raise ValueError(f"new step label {new_step.label} must be {fresh_label(parent)}")
-    order = parent.order | frozenset(new_edges)
-    return Plan(steps=steps, order=order, parent=parent, depth=parent.depth + 1)
+    # The child knows its new edges, and gets its linearization at once, as
+    # a search reads nearly every child's: the parent's, with the new step
+    # right after its last predecessor, if every new edge then runs forward.
+    edges = frozenset(new_edges) - parent.order
+    child = Plan(steps=steps, order=parent.order | edges, parent=parent, depth=parent.depth + 1)
+    child.__dict__["new_edges"] = edges
+    if "linear_order" in parent.__dict__:
+        seq, new = parent.linear_order, None if new_step is None else new_step.label
+        index, last, first = seq.index, -1, len(seq)
+        for a, b in edges:
+            if a == b:
+                return child
+            if b == new and index(a) > last:
+                last = index(a)
+            elif a == new and index(b) < first:
+                first = index(b)
+            elif a != new != b and index(a) > index(b):
+                return child
+        if last < first:
+            child.__dict__["linear_order"] = seq if new is None else seq[: last + 1] + (new,) + seq[last + 1 :]
+    return child
 
 
 def fresh_label(plan: Plan) -> int:
     return len(plan.steps)
+
+
+def grow_adjacency(adjacency: dict, labels: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict:
+    """`adjacency` (label -> sorted neighbour tuple) with an entry for every
+    label of `labels` and b added under a for each (a, b) of `edges`, none
+    of which it holds yet."""
+    out = dict(adjacency)
+    for lab in labels:
+        if lab not in out:
+            out[lab] = ()
+    for a, b in edges:
+        near = out[a]
+        out[a] = near + (b,) if not near or near[-1] < b else tuple(sorted(near + (b,)))
+    return out
+
+
+def with_steps(plan: Plan, steps: tuple[Step, ...]) -> Plan:
+    """`plan` with `steps`, which carry its labels in label order, in place
+    of its own, keeping every view of its order that it has cached."""
+    variant = replace(plan, steps=steps)
+    views = ("new_edges", "predecessors", "successors", "linear_order", "after_sets", "is_total")
+    variant.__dict__.update((view, plan.__dict__[view]) for view in views if view in plan.__dict__)
+    return variant
+
+
+def topological_order(plan: Plan) -> tuple[int, ...]:
+    """Kahn's sort of the plan's labels, smallest ready label first."""
+    indeg = {lab: len(preds) for lab, preds in plan.predecessors.items()}
+    ready = [lab for lab, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    out: list[int] = []
+    while ready:
+        out.append(lab := heapq.heappop(ready))
+        for s in plan.successors[lab]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                heapq.heappush(ready, s)
+    if len(out) != len(indeg):
+        raise ValueError("plan ordering contains a cycle")
+    return tuple(out)
 
 
 def _check_size(plan: Plan, what: str) -> None:

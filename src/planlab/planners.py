@@ -19,16 +19,17 @@ how a child is ordered and which goals count as open:
                          per child; ``to`` and ``ua`` build a child plan
                          with ``model.extend`` only when it is first
                          indexed (``LazyChildren``), the other kinds build
-                         every child at once
+                         every child at once; the model derives a child's
+                         order views from its parent's
   5. goal updating       (the child's open goals, lazy): ``children`` only
                          counts its cost; the goals are computed on the
                          first ``goal_set`` call, when a search extends or
                          rates the child, so a leaf a search only tests
                          for a solution gets none, whatever the kind.
                          ``to`` and ``ua`` share one rule: simulate the
-                         plan's ``linear_order``, which every child they
-                         build carries, so a derived plan is sorted only
-                         where a ``ua`` insertion does not fit
+                         plan's ``linear_order``, which ``model.extend``
+                         derives from the parent's, so a derived plan is
+                         sorted only where a ``ua`` insertion does not fit
 
 Planner kinds and their ordering stages:
 
@@ -37,26 +38,27 @@ Planner kinds and their ordering stages:
 ``ua``   partially ordered, unambiguity-preserving; the new step is placed
          after the last deleter and before the needing step, then every
          step that interacts with it is ordered against it, both ways.
-         The per-goal context (the base edges, the base child's adjacency,
-         derived from the parent's, and the steps those edges already
-         order against the new step) is computed once per goal and shared
-         by every adder instance; a child's recipe is its new step and its
-         own interaction edges, and the built child gets the shared
-         adjacency plus those edges, so it never rebuilds it from its edge
-         set.  The built child also carries its parent's linearization
-         with the new step right after its last predecessor, unless one of
-         its successors comes earlier; then it sorts its own.  Every plan
-         this planner builds is unambiguous, so any linearization decides
-         its goals, as a ``to`` plan's one sequence does.
+         The per-goal context (the base edges, the parent's adjacency
+         plus those edges, and the steps they already order against the
+         new step) is computed once per goal and shared by every adder
+         instance.  A child's recipe is its new step and its new edges,
+         the base plus one per interacting step, and building it is one
+         ``model.extend`` call.  Every plan this planner builds is
+         unambiguous, so any linearization decides its goals, as a ``to``
+         plan's one sequence does.  A child's is its parent's with the new
+         step right after its last predecessor, unless one of the step's
+         successors comes earlier; then the child sorts its own.
 ``toc``/``uac``  the conditional-effect variants: operator selection also
          instantiates specialized copies of operators that conditionally
          add the goal, interaction detection widens to dependency
          conditions and conditional effects, and a role-selection stage
          branches on marking versus specializing usable conditional adds;
          it reads each candidate's closure, so these kinds build every
-         child.  Two paths of specialisation can reach one variant, so
-         only the first child with given step signatures and closure is
-         kept, as ``mt`` keeps it.
+         child.  A variant has its candidate's order, and
+         ``model.with_steps`` hands it the candidate's order views.  Two
+         paths of specialisation can reach one variant, so only the first
+         child with given step signatures and closure is kept, as ``mt``
+         keeps it.
 ``mt``   deferred ordering driven by exact modal truth: establishers may
          be existing steps or fresh instances, threats are resolved one at
          a time by demotion or white-knight protection, and children may
@@ -80,6 +82,7 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
@@ -92,7 +95,9 @@ from .model import (
     Step,
     extend,
     fresh_label,
+    grow_adjacency,
     initial_plan,
+    with_steps,
 )
 from .truth import (
     GoalEntry,
@@ -216,23 +221,6 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if self.goal_selection not in ("deterministic", "seeded"):
             raise ValueError(f"unknown goal selection {self.goal_selection!r}")
-
-
-def _add_edges(
-    preds: dict[int, tuple[int, ...]],
-    succs: dict[int, tuple[int, ...]],
-    edges: Iterable[tuple[int, int]],
-) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
-    """The adjacency `preds`/`succs` (sorted neighbour tuples, as
-    ``Plan.predecessors``/``Plan.successors`` hold them) plus `edges`, none
-    of which may be present yet; shared as is when there are none."""
-    if not edges:
-        return preds, succs
-    preds, succs = dict(preds), dict(succs)
-    for a, b in edges:
-        succs[a] = tuple(sorted(succs[a] + (b,)))
-        preds[b] = tuple(sorted(preds[b] + (a,)))
-    return preds, succs
 
 
 def _spread(marks: set[int], start: int, adj: dict[int, Sequence[int]]) -> int:
@@ -377,10 +365,7 @@ class TotalOrderPlanner(Planner):
 
         def build(new_step: Step, g: int) -> Plan:
             edges = {(seq[g], label), (label, seq[g + 1]), (INIT_STEP, label), (label, FINAL_STEP)}
-            child = extend(plan, new_step, edges)
-            child.__dict__["linear_order"] = seq[: g + 1] + (label,) + seq[g + 1 :]
-            child.__dict__["is_total"] = True
-            return child
+            return extend(plan, new_step, edges)
 
         cost = ChildCost(1, len(plan.steps) + 1)  # goal updating scans the steps
         return ExtensionResult(LazyChildren(build, recipes), (cost,) * len(recipes))
@@ -420,18 +405,17 @@ class UnambiguousPlanner(Planner):
         base = frozenset(
             {(deleter, label), (label, needer), (INIT_STEP, label), (label, FINAL_STEP)}
         )
-        preds, succs = _add_edges(
-            {**plan.predecessors, label: ()}, {**plan.successors, label: ()}, base
-        )
+        labels = plan.labels + (label,)
+        preds = grow_adjacency(plan.predecessors, labels, ((b, a) for a, b in base))
+        succs = grow_adjacency(plan.successors, labels, base)
         before: set[int] = set()
         after: set[int] = set()
         visits = _spread(before, label, preds) + _spread(after, label, succs)
         visits += len(plan.steps) + 1  # scan for unlabeled interacting steps
         unordered = [lab for lab in plan.labels if lab not in before and lab not in after]
         mode = "conditional" if self.conditional else "basic"
-        # Goal updating touches every edge and twice every step of the
-        # child; its new edges are the base plus its own.
-        visits5 = len(plan.order) + len(base) + 2 * (len(plan.steps) + 1)
+        # Goal updating touches every edge and twice every step of the child.
+        visits5 = len(plan.order) + 2 * (len(plan.steps) + 1)
         recipes: list[tuple[Step, frozenset[tuple[int, int]]]] = []
         costs: list[ChildCost] = []
         for new_step in instances:
@@ -440,48 +424,34 @@ class UnambiguousPlanner(Planner):
             )
 
             # One child per way of ordering every candidate before or after the
-            # new step.  Walks read the base adjacency; a child's own edges all
-            # touch the new step, and none is a base edge: the base's ends are
-            # ordered against the new step, so they are never candidates.
+            # new step: its new edges are the base plus one edge per candidate.
+            # Walks read the base adjacency; a candidate's edge touches the new
+            # step and is never a base edge: the base's ends are ordered
+            # against the new step, so they are never candidates.
             def branch(
                 idx: int,
                 before: set[int],
                 after: set[int],
-                extra: frozenset[tuple[int, int]],
+                edges: frozenset[tuple[int, int]],
                 visits: int,
             ) -> None:
                 while idx < len(cands) and (cands[idx] in before or cands[idx] in after):
                     idx += 1
                 if idx == len(cands):
-                    recipes.append((new_step, extra))
-                    costs.append(ChildCost(visits, visits5 + len(extra)))
+                    recipes.append((new_step, edges))
+                    costs.append(ChildCost(visits, visits5 + len(edges)))
                     return
                 s = cands[idx]
                 nb = set(before)
                 cost_b = _spread(nb, s, preds)
-                branch(idx + 1, nb, after, extra | {(s, label)}, visits + cost_b)
+                branch(idx + 1, nb, after, edges | {(s, label)}, visits + cost_b)
                 na = set(after)
                 cost_a = _spread(na, s, succs)
-                branch(idx + 1, before, na, extra | {(label, s)}, visits + cost_a)
+                branch(idx + 1, before, na, edges | {(label, s)}, visits + cost_a)
 
-            branch(0, before, after, frozenset(), visits)
+            branch(0, before, after, base, visits)
 
-        # Every new edge touches the new step, so the parent's order with the
-        # new step right after its last predecessor is a linearization of the
-        # child, unless a successor comes earlier; then the child sorts its own.
-        seq = plan.linear_order
-        position = {lab: i for i, lab in enumerate(seq)}.__getitem__
-
-        def build(new_step: Step, extra: frozenset[tuple[int, int]]) -> Plan:
-            child = extend(plan, new_step, base | extra)
-            cpreds, csuccs = _add_edges(preds, succs, extra)
-            child.__dict__["predecessors"], child.__dict__["successors"] = cpreds, csuccs
-            at = max(map(position, cpreds[label])) + 1
-            if at <= min(map(position, csuccs[label])):
-                child.__dict__["linear_order"] = seq[:at] + (label,) + seq[at:]
-            return child
-
-        return ExtensionResult(LazyChildren(build, recipes), tuple(costs))
+        return ExtensionResult(LazyChildren(partial(extend, plan), recipes), tuple(costs))
 
 
 class _RoleSelectionMixin:
@@ -533,13 +503,8 @@ class _RoleSelectionMixin:
         def branch(steps_map: dict[int, Step]) -> None:
             trigger = find_trigger(steps_map)
             if trigger is None:
-                # Same order as the candidate, so its linearization and closure hold;
-                # the dict keeps label order.
-                variant = replace(cand, steps=tuple(steps_map.values()))
-                for key in ("linear_order", "is_total", "after_sets"):
-                    if key in cand.__dict__:
-                        variant.__dict__[key] = cand.__dict__[key]
-                results.append(variant)
+                # The dict keeps label order.
+                results.append(with_steps(cand, tuple(steps_map.values())))
                 return
             lab, idx, ce = trigger
             step = steps_map[lab]

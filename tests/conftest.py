@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cached_property
 
 import pytest
 
+from planlab import model
 from planlab.model import (
     FINAL_STEP,
     INIT_STEP,
@@ -119,15 +119,13 @@ def tiny_problem() -> Problem:
 @pytest.fixture
 def kahn_sorts(monkeypatch) -> list[Plan]:
     """Every plan whose ``linear_order`` is computed by the topological
-    sort, rather than preset by a planner, while the test runs."""
+    sort, rather than derived from its parent's, while the test runs."""
     sorted_plans: list[Plan] = []
-    kahn = Plan.__dict__["linear_order"].func
+    kahn = model.topological_order
 
     def spy(plan: Plan) -> tuple[int, ...]:
         sorted_plans.append(plan)
         return kahn(plan)
 
-    prop = cached_property(spy)
-    prop.__set_name__(Plan, "linear_order")
-    monkeypatch.setattr(Plan, "linear_order", prop)
+    monkeypatch.setattr(model, "topological_order", spy)
     return sorted_plans

@@ -268,7 +268,8 @@ class TestFileErrors:
             f"depth_limit = 2\noutput = {target}\n"
         )
         verify = ["verify", "fixture:fig9", "--depth-limit", "2", "--dump-map", str(target)]
-        for argv in (["experiment", str(cfg)], verify):
+        dump = ["dump-tree", "fixture:fig9", "--depth-limit", "2", "--output", str(target)]
+        for argv in (["experiment", str(cfg)], verify, dump):
             assert main(argv) == EXIT_USAGE
             assert calls == {"run_search": 0, "enumerate_tree": 0}, argv[0]
             err = capsys.readouterr().err
@@ -376,6 +377,18 @@ class TestCeilings:
             for path in sorted(package.glob("*.py"))
             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if re.search(r"\b(environ|getenv)\b", line)
+        ]
+        assert readers == []
+
+    def test_only_the_model_reads_plan_caches(self):
+        # A plan's cached views are the model's to derive and hand on.
+        package = Path(cli.__file__).resolve().parent
+        readers = [
+            f"{path.name}:{lineno}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "model.py"
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if "__dict__" in line
         ]
         assert readers == []
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from planlab.model import (
     linear_extensions,
     make_op,
     restrict,
+    with_steps,
 )
 
 from conftest import brute_topological_orders, chain_plan, linearization_plans, random_plan
@@ -64,7 +66,7 @@ class TestInitialPlan:
         prob = Problem("empty", frozenset(["p"]), frozenset(), ())
         plan = initial_plan(prob)
         assert len(plan.steps) == 2
-        assert plan.step(FINAL_STEP).pre == frozenset()
+        assert plan.by_label[FINAL_STEP].pre == frozenset()
         assert plan.order == {(INIT_STEP, FINAL_STEP)}
         assert plan.depth == 0 and plan.parent is None
 
@@ -73,14 +75,14 @@ class TestInitialPlan:
 
         prob = d1s1_problem([1, 2])
         plan = initial_plan(prob)
-        assert plan.step(INIT_STEP).adds == frozenset(f"i{k}" for k in range(1, 16))
-        assert plan.step(FINAL_STEP).pre == {"g1", "g2"}
+        assert plan.by_label[INIT_STEP].adds == frozenset(f"i{k}" for k in range(1, 16))
+        assert plan.by_label[FINAL_STEP].pre == {"g1", "g2"}
 
     def test_sussman_initial_plan(self):
         from planlab.domains import fixture
 
         plan = initial_plan(fixture("sussman"))
-        assert plan.step(FINAL_STEP).pre == {"on_a_b", "on_b_c"}
+        assert plan.by_label[FINAL_STEP].pre == {"on_a_b", "on_b_c"}
 
 
 class TestOrderingRelation:
@@ -100,11 +102,6 @@ class TestOrderingRelation:
     def test_transitive_before(self):
         plan = plan_of({(2, 3), (3, 4)})
         assert plan.before(2, 4)
-
-    def test_unknown_label_raises(self):
-        plan = plan_of(set(), middle=1)
-        with pytest.raises(ValueError, match="no step labeled 99"):
-            plan.step(99)
 
     def test_no_step_before_itself(self):
         rng = random.Random(17)
@@ -188,7 +185,7 @@ class TestIsLinearization:
         total = plan_of(set(zip(seq, seq[1:])), names=total_names)
 
         oracle = total.sequence in linear_extensions(plan) and all(
-            total.step(lab).signature == plan.step(lab).signature for lab in plan.labels
+            total.by_label[lab].signature == plan.by_label[lab].signature for lab in plan.labels
         )
         assert is_linearization(total, plan) == oracle
 
@@ -207,7 +204,7 @@ class TestIsLinearization:
         position = {lab: i for i, lab in enumerate(total.sequence)}
         middle = plan.middle_labels
         oracle = any(
-            all(plan.step(a).signature == total.step(b).signature for a, b in image.items())
+            all(plan.by_label[a].signature == total.by_label[b].signature for a, b in image.items())
             and all(position[image[a]] < position[image[b]] for a, b in plan.order)
             for image in (
                 {INIT_STEP: INIT_STEP, FINAL_STEP: FINAL_STEP, **dict(zip(middle, perm))}
@@ -318,13 +315,47 @@ class TestExtend:
         with pytest.raises(ValueError, match="plan ordering contains a cycle"):
             Plan(child.steps, child.order).after_sets
 
-    def test_closure_from_the_parent_equals_a_fresh_one(self):
+    def test_closure_from_the_parent_equals_a_fresh_one(self, kahn_sorts):
         parent = plan_of(chain(2), middle=4)
         parent.after_sets
         child = extend(parent, Step(6, "op4"), {(INIT_STEP, 6), (6, FINAL_STEP), (3, 6), (6, 4)})
-        assert child.after_sets == Plan(child.steps, child.order).after_sets
         assert child.before(2, 4) and not child.before(4, 5)
-        assert "linear_order" not in child.__dict__  # derived without a sort
+        assert kahn_sorts == []  # a closure needs no linearization
+        assert child.after_sets == Plan(child.steps, child.order).after_sets
+
+    def test_child_inserts_its_step_into_the_parents_linearization(self, kahn_sorts):
+        parent = plan_of(chain(2), middle=4)
+        assert parent.linear_order == (0, 2, 3, 4, 5, 1)
+        child = extend(parent, Step(6, "op4"), {(INIT_STEP, 6), (6, FINAL_STEP), (3, 6), (6, 4)})
+        assert child.new_edges == {(INIT_STEP, 6), (6, FINAL_STEP), (3, 6), (6, 4)}
+        assert child.linear_order == (0, 2, 3, 6, 4, 5, 1)  # right after step 3
+        assert child.predecessors == Plan(child.steps, child.order).predecessors
+        assert child.successors == Plan(child.steps, child.order).successors
+        assert not child.is_total and extend(child, None, {(4, 5)}).is_total
+        assert kahn_sorts == [parent]
+
+    def test_child_sorts_when_a_successor_comes_first(self, kahn_sorts):
+        # Step 4 comes before step 5 in the parent's linearization, so no
+        # insertion of a step after 5 and before 4 runs every edge forward.
+        parent = plan_of(set(), middle=4)
+        assert parent.linear_order.index(4) < parent.linear_order.index(5)
+        edges = {(INIT_STEP, 6), (6, FINAL_STEP), (5, 6), (6, 4)}
+        child = extend(parent, Step(6, "op4"), edges)
+        assert child.linear_order == (0, 2, 3, 5, 6, 4, 1) and kahn_sorts[-1] is child
+        # A parent never linearized gives the child nothing to derive from.
+        unsorted = plan_of(set(), middle=4)
+        assert extend(unsorted, Step(6, "op4"), edges).linear_order == (0, 2, 3, 5, 6, 4, 1)
+        assert len(kahn_sorts) == 3
+
+    def test_with_steps_keeps_the_order_views_only(self):
+        plan = plan_of(chain(2), middle=3)
+        plan.after_sets, plan.linear_order, plan.by_label
+        steps = tuple(replace(s, name=s.name + "'") for s in plan.steps)
+        variant = with_steps(plan, steps)
+        assert variant.steps == steps and variant.order == plan.order
+        assert variant.after_sets is plan.after_sets
+        assert variant.linear_order is plan.linear_order
+        assert variant.by_label[2].name == "op0'"
 
     @pytest.mark.parametrize("label", [1, 3])
     def test_refuses_a_label_that_is_not_fresh(self, tiny_problem, label):

@@ -528,10 +528,10 @@ class TestLazyGoals:
 
 
 class TestLeafDecision:
-    """A derived ``ua`` plan carries the linearization its planner built, its
-    parent's with the new step right after its last predecessor, and is
-    decided by it.  Only when a successor of the new step comes earlier in
-    the parent's order does the plan sort its own."""
+    """A derived ``ua`` plan carries the linearization ``model.extend``
+    derived for it, its parent's with the new step right after its last
+    predecessor, and is decided by it.  Only when a successor of the new
+    step comes earlier in the parent's order does the plan sort its own."""
 
     def test_a_child_the_insertion_fits_carries_it(self, kahn_sorts):
         # supplier (3) < relay (4) < closer (2): the parent carries the
@@ -665,10 +665,10 @@ class TestGoalSelection:
 
 
 class TestChildPlans:
-    """A child's preset or inherited order caches (``to`` chains, ``ua``
-    adjacency and linearizations, role variants) must agree with what a
-    freshly built plan computes: a ``ua`` plan's linearization need not be
-    the fresh plan's, but must be one."""
+    """A child's derived or inherited order views (adjacency, closure and
+    linearization, role variants' copies) must agree with what a freshly
+    built plan computes: a ``ua`` plan's linearization need not be the
+    fresh plan's, but must be one."""
 
     @pytest.mark.parametrize(
         "name, kind, depth",

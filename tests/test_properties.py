@@ -27,11 +27,12 @@ disagree until that is settled.  On both kinds of problem, every pair of
 plans the correspondence examines is decided by the label-for-label
 ``is_linearization`` and by the bijection oracle
 ``is_linearization_brute`` alike, and every node of all five planners'
-trees has the closure and totality of a fresh plan with its steps and
-order, although a derived plan builds its closure from its parent's, and
-carries a linearization of its order: for ``to``/``toc`` the fresh plan's
-one, for the other kinds perhaps another.  The examples are derandomized,
-so every run checks the same problems.
+trees has the adjacency, closure and totality of a fresh plan with its
+steps and order, although a derived plan builds them from its parent's,
+and a linearization of its order: for ``to``/``toc`` the fresh plan's
+one, for the other kinds perhaps another.  A hand-built child whose order
+lacks one of its parent's edges computes all of them afresh.  The
+examples are derandomized, so every run checks the same problems.
 """
 
 from __future__ import annotations
@@ -344,19 +345,34 @@ def test_is_linearization_agrees_with_the_bijection_oracle(problem, depth):
 @example(problem=TWO_INTERACTING, depth=3)
 @example(problem=CONDITIONAL[1][0], depth=3)
 def test_every_node_has_the_closure_of_a_fresh_plan(problem, depth):
-    # Nodes come parent first, so reading each node's closure caches its
-    # parent's before it: every derived plan derives its closure from it.
+    # Nodes come parent first, so reading each node's views caches its
+    # parent's before it: every derived plan derives its views from them.
     for kind in ("to", "ua", "toc", "uac", "mt"):
         for node in enumerate_tree(make_planner(kind, problem), depth).nodes:
             plan = node.plan
-            fresh = Plan(steps=plan.steps, order=plan.order)
-            assert plan.after_sets == fresh.after_sets, (kind, node.id)
-            assert plan.is_total == fresh.is_total, (kind, node.id)
-            # A ua plan carries the linearization its planner built, which
-            # need not be the fresh plan's; a total plan has only one.
-            assert orders_forward(plan, plan.linear_order), (kind, node.id)
-            if kind in ("to", "toc"):
-                assert plan.linear_order == fresh.linear_order, (kind, node.id)
+            _check_order_views(plan, kind in ("to", "toc"), (kind, node.id))
+            if plan.parent is not None:
+                assert plan.new_edges == plan.order - plan.parent.order, (kind, node.id)
+                # A plan whose order lacks one of its parent's edges has
+                # nothing to derive from, and computes its views afresh.
+                cut = Plan(plan.steps, plan.order - {max(plan.parent.order)}, plan.parent, plan.depth)
+                assert cut.new_edges is None, (kind, node.id)
+                _check_order_views(cut, False, (kind, node.id, "cut"))
+
+
+def _check_order_views(plan, total_kind, where):
+    fresh = Plan(steps=plan.steps, order=plan.order)
+    assert plan.predecessors == fresh.predecessors, where
+    assert plan.successors == fresh.successors, where
+    assert plan.after_sets == fresh.after_sets, where
+    n = len(plan.steps)
+    comparable = sum(len(later) for later in plan.after_sets.values())
+    assert plan.is_total == (comparable == n * (n - 1) // 2) == fresh.is_total, where
+    # A derived plan carries a linearization of its order, which need not
+    # be the fresh plan's; a total plan has only one.
+    assert orders_forward(plan, plan.linear_order), where
+    if total_kind:
+        assert plan.linear_order == fresh.linear_order, where
 
 
 @EXAMPLES
