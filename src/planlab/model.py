@@ -10,11 +10,11 @@ one linearization (which also decides totality) and the transitive
 closure (which answers before/after).  A child derives each from its
 parent's, when that is cached and the child's order contains the
 parent's, by adding only its new edges: the linearization when ``extend``
-builds the child, the others when first asked for.  Any other plan
-computes the view afresh, its linearization by Kahn's sort
-(``topological_order``).  Only this module reads the cache;
-``with_steps`` hands a plan's order views to a plan that differs from it
-in its steps alone.
+builds a child with a new step, the others when first asked for.  Any
+other plan computes the view afresh, its linearization by Kahn's sort
+(``topological_order``) and its closure along its linearization when that
+is cached.  Only this module reads the cache; ``with_steps`` hands a
+plan's order views to a plan that differs from it in its steps alone.
 
 Plans compare by identity, not by field value: two nodes of a search tree
 may carry structurally identical plans and must stay distinct.
@@ -213,12 +213,21 @@ class Plan:
         """label -> every label strictly after it (transitive closure).
 
         A plan that derives it from its parent's starts from that closure
-        and adds its new edges; any other plan starts from none and adds
-        every edge.  An edge (a, b) puts b and everything after b after a
-        and after everything before a."""
+        and adds its new edges; a plan without a parent's closure to derive
+        from closes its order along its linearization when that is cached
+        (every ``to`` and ``ua`` child's), last label first, and otherwise
+        starts from none and adds every edge.  An edge (a, b) puts b and
+        everything after b after a and after everything before a."""
+        derives = self._derives("after_sets")
+        if not derives and "linear_order" in self.__dict__:
+            out: dict[int, frozenset[int]] = {}
+            for lab in reversed(self.linear_order):
+                succ = self.successors[lab]
+                out[lab] = frozenset(succ).union(*map(out.__getitem__, succ))
+            return out
         out = dict.fromkeys(self.labels, frozenset())
         edges = self.order
-        if self._derives("after_sets"):
+        if derives:
             out.update(self.parent.after_sets)
             edges = self.new_edges
         for a, b in edges:
@@ -314,13 +323,14 @@ def extend(parent: Plan, new_step: Optional[Step], new_edges: Iterable[tuple[int
     else:
         raise ValueError(f"new step label {new_step.label} must be {fresh_label(parent)}")
     # The child knows its new edges, and gets its linearization at once, as
-    # a search reads nearly every child's: the parent's, with the new step
-    # right after its last predecessor, if every new edge then runs forward.
+    # a search reads nearly every to and ua child's: the parent's, with the
+    # new step right after its last predecessor, if every new edge then runs
+    # forward.
     edges = frozenset(new_edges) - parent.order
     child = Plan(steps=steps, order=parent.order | edges, parent=parent, depth=parent.depth + 1)
     child.__dict__["new_edges"] = edges
-    if "linear_order" in parent.__dict__:
-        seq, new = parent.linear_order, None if new_step is None else new_step.label
+    if new_step is not None and "linear_order" in parent.__dict__:
+        seq, new = parent.linear_order, new_step.label
         index, last, first = seq.index, -1, len(seq)
         for a, b in edges:
             if a == b:
@@ -332,7 +342,7 @@ def extend(parent: Plan, new_step: Optional[Step], new_edges: Iterable[tuple[int
             elif a != new != b and index(a) > index(b):
                 return child
         if last < first:
-            child.__dict__["linear_order"] = seq if new is None else seq[: last + 1] + (new,) + seq[last + 1 :]
+            child.__dict__["linear_order"] = seq[: last + 1] + (new,) + seq[last + 1 :]
     return child
 
 
@@ -349,8 +359,7 @@ def grow_adjacency(adjacency: dict, labels: Iterable[int], edges: Iterable[tuple
         if lab not in out:
             out[lab] = ()
     for a, b in edges:
-        near = out[a]
-        out[a] = near + (b,) if not near or near[-1] < b else tuple(sorted(near + (b,)))
+        out[a] = tuple(sorted(out[a] + (b,)))
     return out
 
 

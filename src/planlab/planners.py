@@ -38,9 +38,9 @@ Planner kinds and their ordering stages:
 ``ua``   partially ordered, unambiguity-preserving; the new step is placed
          after the last deleter and before the needing step, then every
          step that interacts with it is ordered against it, both ways.
-         The per-goal context (the base edges, the parent's adjacency
-         plus those edges, and the steps they already order against the
-         new step) is computed once per goal and shared by every adder
+         The per-goal context (the base edges and the steps they already
+         order against the new step, found by walks over the parent's
+         adjacency) is computed once per goal and shared by every adder
          instance.  A child's recipe is its new step and its new edges,
          the base plus one per interacting step, and building it is one
          ``model.extend`` call.  Every plan this planner builds is
@@ -95,7 +95,6 @@ from .model import (
     Step,
     extend,
     fresh_label,
-    grow_adjacency,
     initial_plan,
     with_steps,
 )
@@ -399,18 +398,19 @@ class UnambiguousPlanner(Planner):
         instances = self._adder_instances(c, label)
         if not instances:
             return ExtensionResult((), ())
-        # The base edges, the base child's adjacency, the steps they order
-        # against the newcomer and the cost of finding them depend only on
-        # the goal and the fresh label: every adder instance shares them.
+        # The base edges, the steps they order against the newcomer and the
+        # cost of finding them depend only on the goal and the fresh label:
+        # every adder instance shares them.  The walks take the newcomer's
+        # base edges, then the parent's adjacency: a base edge changes only
+        # the neighbours of steps ordered against the newcomer, which no walk
+        # from a step unordered against it reaches.  Each base edge has the
+        # newcomer, marked from the start, at one end.
         base = frozenset(
             {(deleter, label), (label, needer), (INIT_STEP, label), (label, FINAL_STEP)}
         )
-        labels = plan.labels + (label,)
-        preds = grow_adjacency(plan.predecessors, labels, ((b, a) for a, b in base))
-        succs = grow_adjacency(plan.successors, labels, base)
-        before: set[int] = set()
-        after: set[int] = set()
-        visits = _spread(before, label, preds) + _spread(after, label, succs)
+        preds, succs = plan.predecessors, plan.successors
+        before, after = {label}, {label}
+        visits = len(base) + sum(_spread(before, a, preds) + _spread(after, b, succs) for a, b in base)
         visits += len(plan.steps) + 1  # scan for unlabeled interacting steps
         unordered = [lab for lab in plan.labels if lab not in before and lab not in after]
         mode = "conditional" if self.conditional else "basic"
@@ -425,9 +425,9 @@ class UnambiguousPlanner(Planner):
 
             # One child per way of ordering every candidate before or after the
             # new step: its new edges are the base plus one edge per candidate.
-            # Walks read the base adjacency; a candidate's edge touches the new
-            # step and is never a base edge: the base's ends are ordered
-            # against the new step, so they are never candidates.
+            # A candidate's edge touches the new step and is never a base edge:
+            # the base's ends are ordered against the new step, so they are
+            # never candidates.
             def branch(
                 idx: int,
                 before: set[int],

@@ -317,11 +317,19 @@ class TestExtend:
 
     def test_closure_from_the_parent_equals_a_fresh_one(self, kahn_sorts):
         parent = plan_of(chain(2), middle=4)
-        parent.after_sets
+        parent.after_sets, parent.predecessors, parent.successors
         child = extend(parent, Step(6, "op4"), {(INIT_STEP, 6), (6, FINAL_STEP), (3, 6), (6, 4)})
         assert child.before(2, 4) and not child.before(4, 5)
+        fresh = Plan(child.steps, child.order)
+        assert child.after_sets == fresh.after_sets
+        assert child.predecessors == fresh.predecessors
+        assert child.successors == fresh.successors
+        # No new edge touches step 5, so views derived from the parent's
+        # share its entries for step 5; views computed afresh build their own.
+        assert child.after_sets[5] is parent.after_sets[5]
+        assert child.predecessors[5] is parent.predecessors[5]
+        assert child.successors[5] is parent.successors[5]
         assert kahn_sorts == []  # a closure needs no linearization
-        assert child.after_sets == Plan(child.steps, child.order).after_sets
 
     def test_child_inserts_its_step_into_the_parents_linearization(self, kahn_sorts):
         parent = plan_of(chain(2), middle=4)
@@ -331,8 +339,13 @@ class TestExtend:
         assert child.linear_order == (0, 2, 3, 6, 4, 5, 1)  # right after step 3
         assert child.predecessors == Plan(child.steps, child.order).predecessors
         assert child.successors == Plan(child.steps, child.order).successors
-        assert not child.is_total and extend(child, None, {(4, 5)}).is_total
-        assert kahn_sorts == [parent]
+        # The parent's closure was never asked for, so the child closes its
+        # order along its own linearization.
+        assert child.after_sets == Plan(child.steps, child.order).after_sets
+        assert not child.is_total and kahn_sorts == [parent]
+        # A child without a new step (only mt builds one) sorts its own.
+        grandchild = extend(child, None, {(4, 5)})
+        assert grandchild.is_total and kahn_sorts == [parent, grandchild]
 
     def test_child_sorts_when_a_successor_comes_first(self, kahn_sorts):
         # Step 4 comes before step 5 in the parent's linearization, so no
