@@ -97,13 +97,12 @@ def _check_writable(path: Path) -> None:
 
 def _describe_plan(plan: Plan) -> str:
     lines = []
-    names = {lab: plan.by_label[lab].name for lab in plan.labels}
-    middle = plan.middle_labels
+    steps, middle = plan.steps, plan.middle_labels
     if plan.is_total:
-        seq = [names[lab] for lab in plan.sequence if lab in middle]
+        seq = [steps[lab].name for lab in plan.sequence if lab in middle]
         lines.append("sequence: " + (" < ".join(seq) if seq else "(empty)"))
     else:
-        lines.append("steps: " + " ".join(f"{lab}:{names[lab]}" for lab in middle))
+        lines.append("steps: " + " ".join(f"{lab}:{steps[lab].name}" for lab in middle))
         ordered_pairs = sorted(
             (a, b)
             for a in middle
@@ -113,7 +112,7 @@ def _describe_plan(plan: Plan) -> str:
         lines.append(
             "orderings: "
             + (
-                ", ".join(f"{names[a]}({a}) < {names[b]}({b})" for a, b in ordered_pairs)
+                ", ".join(f"{steps[a].name}({a}) < {steps[b].name}({b})" for a, b in ordered_pairs)
                 or "(none)"
             )
         )

@@ -451,20 +451,10 @@ def serialize_problem(problem: Problem) -> str:
         out.append("  pre: " + " ".join(sorted(op.pre)))
         out.append("  add: " + " ".join(sorted(op.adds)))
         out.append("  del: " + " ".join(sorted(op.dels)))
-        if op.cadds:
-            out.append(
-                "  cadd: "
-                + " ".join(
-                    f"({' & '.join(sorted(ce.deps))} -> {ce.effect})" for ce in op.cadds
-                )
-            )
-        if op.cdels:
-            out.append(
-                "  cdel: "
-                + " ".join(
-                    f"({' & '.join(sorted(ce.deps))} -> {ce.effect})" for ce in op.cdels
-                )
-            )
+        for key, effects in (("cadd", op.cadds), ("cdel", op.cdels)):
+            if effects:
+                rendered = (f"({' & '.join(sorted(ce.deps))} -> {ce.effect})" for ce in effects)
+                out.append(f"  {key}: " + " ".join(rendered))
         out.append("end")
     return "\n".join(out) + "\n"
 

@@ -1,20 +1,25 @@
 """Plan-space data model: propositions, operators, steps, plans, problems.
 
 Propositions are plain interned strings (non-negated atoms, no variables).
-A plan is an immutable value: a set of uniquely labeled steps plus a set of
-direct ordering edges over step labels.  Label 0 is always the initial step
-(it adds the problem's initial state) and label 1 the final step (its
+A plan is an immutable value: a tuple of steps plus a set of direct
+ordering edges over step labels.  A step's label is its position in the
+tuple, so ``plan.steps[label]`` finds it.  Label 0 is always the initial
+step (it adds the problem's initial state) and label 1 the final step (its
 preconditions are the problem's goals); further steps are labeled 2, 3, ...
-in derivation order.  A plan caches views of its order: its adjacency,
-one linearization (which also decides totality) and the transitive
-closure (which answers before/after).  A child derives each from its
-parent's, when that is cached and the child's order contains the
-parent's, by adding only its new edges: the linearization when ``extend``
-builds a child with a new step, the others when first asked for.  Any
-other plan computes the view afresh, its linearization by Kahn's sort
-(``topological_order``) and its closure along its linearization when that
-is cached.  Only this module reads the cache; ``with_steps`` hands a
-plan's order views to a plan that differs from it in its steps alone.
+in derivation order.  A plan without a parent checks that its labels are
+its positions, and ``extend`` keeps them so for every derived plan; only
+``restrict``'s projections may lack the sentinels.
+
+A plan caches views of its order: its adjacency, one linearization (which
+also decides totality) and the transitive closure (which answers
+before/after).  A child derives each from its parent's, when that is
+cached and the child's order contains the parent's, by adding only its
+new edges: the linearization when ``extend`` builds a child with a new
+step, the others when first asked for.  Any other plan computes the view
+afresh, its linearization by Kahn's sort (``topological_order``) and its
+closure along its linearization when that is cached.  Only this module
+reads the cache; ``with_steps`` hands a plan's order views to a plan that
+differs from it in its steps alone.
 
 Plans compare by identity, not by field value: two nodes of a search tree
 may carry structurally identical plans and must stay distinct.
@@ -170,13 +175,13 @@ class Plan:
     parent: Optional["Plan"] = None
     depth: int = 0
 
-    @cached_property
-    def by_label(self) -> dict[int, Step]:
-        return {s.label: s for s in self.steps}
+    def __post_init__(self) -> None:
+        if self.parent is None and any(s.label != i for i, s in enumerate(self.steps)):
+            raise ValueError(f"step labels {[s.label for s in self.steps]} must be their positions")
 
-    @cached_property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(s.label for s in self.steps)
+    @property
+    def labels(self) -> range:
+        return range(len(self.steps))
 
     @cached_property
     def new_edges(self) -> Optional[frozenset[tuple[int, int]]]:
@@ -257,9 +262,9 @@ class Plan:
             raise ValueError("plan is not totally ordered")
         return self.linear_order
 
-    @cached_property
-    def middle_labels(self) -> tuple[int, ...]:
-        return tuple(lab for lab in self.labels if lab not in (INIT_STEP, FINAL_STEP))
+    @property
+    def middle_labels(self) -> range:
+        return range(FINAL_STEP + 1, len(self.steps))
 
     @property
     def length(self) -> int:
@@ -314,8 +319,8 @@ def initial_plan(problem: Problem) -> Plan:
 def extend(parent: Plan, new_step: Optional[Step], new_edges: Iterable[tuple[int, int]]) -> Plan:
     """Produce the child plan obtained by one extension (copy, never mutate).
 
-    A new step must carry ``fresh_label(parent)``, so appending it keeps the
-    steps in label order."""
+    A new step must carry ``fresh_label(parent)``, so appending it keeps
+    every label its step's position."""
     if new_step is None:
         steps = parent.steps
     elif new_step.label == fresh_label(parent):
@@ -364,7 +369,7 @@ def grow_adjacency(adjacency: dict, labels: Iterable[int], edges: Iterable[tuple
 
 
 def with_steps(plan: Plan, steps: tuple[Step, ...]) -> Plan:
-    """`plan` with `steps`, which carry its labels in label order, in place
+    """`plan` with `steps`, which carry its labels at their positions, in place
     of its own, keeping every view of its order that it has cached."""
     variant = replace(plan, steps=steps)
     views = ("new_edges", "predecessors", "successors", "linear_order", "after_sets", "is_total")
@@ -428,16 +433,16 @@ def linear_extensions(plan: Plan) -> list[tuple[int, ...]]:
 
 def is_linearization(total: Plan, plan: Plan) -> bool:
     """True iff `total` is a totally ordered plan with `plan`'s steps label
-    for label (the same label with the same operator and effective fields
-    at each position, steps being kept in label order) whose sequence
-    places every step after all of its predecessors in `plan`.
+    for label (as many steps, with the same operator and effective fields
+    at each label) whose sequence places every step after all of its
+    predecessors in `plan`.
 
     Linked planners give a new step the same fresh label in both trees, so
     the correspondence is label for label.  The property tests check this
     against ``is_linearization_brute``, which lets any signature-preserving
     bijection match the steps, on every pair ``build_correspondence``
     examines."""
-    if total.labels != plan.labels or not total.is_total:
+    if len(total.steps) != len(plan.steps) or not total.is_total:
         return False
     # The newest step, last in label order, is where two candidates for
     # one link most often differ, so the walk starts there.
@@ -453,9 +458,17 @@ def is_linearization(total: Plan, plan: Plan) -> bool:
 
 
 def restrict(plan: Plan, labels: Iterable[int]) -> Plan:
-    """The subplan on a label subset: order is the closure restricted to it."""
-    keep = set(labels)
-    steps = tuple(s for s in plan.steps if s.label in keep)
-    edges = frozenset((a, b) for a in keep for b in plan.after_sets[a] if b in keep)
+    """The subplan on a label subset, relabelled by position: the subset's
+    i-th smallest label becomes label i, and the order is the closure
+    restricted to the subset.  Labels 0 and 1 are the sentinels only when
+    the subset keeps them."""
+    keep = sorted(set(labels))
+    position = {lab: i for i, lab in enumerate(keep)}
+    steps = tuple(
+        Step(i, s.name, s.pre, s.adds, s.dels, s.cadds, s.cdels, s.marked)
+        for i, s in enumerate(plan.steps[lab] for lab in keep)
+    )
+    after = plan.after_sets
+    edges = frozenset((i, position[b]) for i, a in enumerate(keep) for b in after[a] if b in position)
     return Plan(steps=steps, order=edges, parent=None, depth=0)
 

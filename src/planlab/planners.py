@@ -54,8 +54,9 @@ Planner kinds and their ordering stages:
          conditions and conditional effects, and a role-selection stage
          branches on marking versus specializing usable conditional adds;
          it reads each candidate's closure, so these kinds build every
-         child.  A variant has its candidate's order, and
-         ``model.with_steps`` hands it the candidate's order views.  Two
+         child.  A variant is its candidate's steps, some replaced by
+         position, in its candidate's order, and ``model.with_steps``
+         hands it the candidate's order views.  Two
          paths of specialisation can reach one variant, so only the first
          child with given step signatures and closure is kept, as ``mt``
          keeps it.
@@ -420,7 +421,7 @@ class UnambiguousPlanner(Planner):
         costs: list[ChildCost] = []
         for new_step in instances:
             cands = sorted(
-                lab for lab in unordered if steps_interact(plan.by_label[lab], new_step, mode)
+                lab for lab in unordered if steps_interact(plan.steps[lab], new_step, mode)
             )
 
             # One child per way of ordering every candidate before or after the
@@ -479,39 +480,36 @@ class _RoleSelectionMixin:
         after = cand.after_sets
         results: list[Plan] = []
 
-        def find_trigger(steps_map: dict[int, Step]):
-            for lab in sorted(steps_map):
-                step = steps_map[lab]
+        def find_trigger(steps: tuple[Step, ...]):
+            for lab, step in enumerate(steps):
                 for idx, ce in enumerate(step.cadds):
                     if idx in step.marked:
                         continue
                     c = ce.effect
                     for ulab in sorted(after[lab]):
-                        user = steps_map[ulab]
-                        if c not in user.pre:
+                        if c not in steps[ulab].pre:
                             continue
                         blocked = any(
-                            c in steps_map[d].dels
+                            c in steps[d].dels
                             and d in after[lab]
                             and ulab in after[d]
-                            for d in steps_map
+                            for d in cand.labels
                         )
                         if not blocked:
                             return lab, idx, ce
             return None
 
-        def branch(steps_map: dict[int, Step]) -> None:
-            trigger = find_trigger(steps_map)
+        def branch(steps: tuple[Step, ...]) -> None:
+            trigger = find_trigger(steps)
             if trigger is None:
-                # The dict keeps label order.
-                results.append(with_steps(cand, tuple(steps_map.values())))
+                results.append(with_steps(cand, steps))
                 return
             lab, idx, ce = trigger
-            step = steps_map[lab]
-            branch({**steps_map, lab: replace(step, marked=step.marked | {idx})})
-            branch({**steps_map, lab: specialize(step, ce.deps)})
+            step = steps[lab]
+            for variant in (replace(step, marked=step.marked | {idx}), specialize(step, ce.deps)):
+                branch(steps[:lab] + (variant,) + steps[lab + 1 :])
 
-        branch({s.label: s for s in cand.steps})
+        branch(cand.steps)
         return results
 
 
@@ -548,11 +546,11 @@ class ModalTruthPlanner(Planner):
     def _open(self, plan: Plan) -> Iterator[GoalEntry]:
         """The preconditions that are not necessarily true, asked one at a
         time in the goal set's order: steps by label, conditions sorted."""
-        by_label, memo = plan.by_label, self._modal_memo
-        for lab in sorted(by_label):
-            for c in sorted(by_label[lab].pre):
-                if modal_status(plan, lab, c, memo) is not ModalStatus.NECESSARILY_TRUE:
-                    yield GoalEntry(lab, c)
+        memo = self._modal_memo
+        for s in plan.steps:
+            for c in sorted(s.pre):
+                if modal_status(plan, s.label, c, memo) is not ModalStatus.NECESSARILY_TRUE:
+                    yield GoalEntry(s.label, c)
 
     def _compute_goals(self, plan: Plan) -> tuple[GoalEntry, ...]:
         return tuple(self._open(plan))
@@ -602,18 +600,17 @@ class ModalTruthPlanner(Planner):
 
         def branch(edge_set: frozenset, handled: frozenset[int], visits: int) -> None:
             child = extend(plan, new_step, edge_set)
-            steps_map = child.by_label
             after = child.after_sets
             visits += len(child.order)
-            threats = sorted(
+            threats = [
                 d
-                for d, st in steps_map.items()
+                for d, st in enumerate(child.steps)
                 if c in st.dels
                 and d not in (o_add, needer)
                 and d not in handled
                 and o_add not in after[d]  # not necessarily before the adder
                 and d not in after[needer]  # not necessarily after the needer
-            )
+            ]
             if not threats:
                 key = _plan_key(child)
                 if key not in seen:
@@ -623,8 +620,7 @@ class ModalTruthPlanner(Planner):
             d = threats[0]
             if needer not in after[d]:  # demotion stays acyclic
                 branch(edge_set | {(needer, d)}, handled | {d}, visits)
-            for k in sorted(steps_map):
-                st = steps_map[k]
+            for k, st in enumerate(child.steps):
                 if k in (d, needer) or c not in st.adds:
                     continue
                 if d in after[k] or k in after[needer]:

@@ -47,7 +47,7 @@ class _Tally:
     """Node, leaf and per-depth visit counts of one search or enumeration,
     and the one home of its bounds: the depth limit and the node ceiling
     (unset: `NODE_CEILING`, read when the run starts), both checked before
-    the first node."""
+    the first node.  Per-depth counts end at the deepest depth visited."""
 
     def __init__(self, depth_limit: int, node_ceiling: Optional[int] = None):
         self.ceiling = NODE_CEILING if node_ceiling is None else node_ceiling
@@ -57,13 +57,15 @@ class _Tally:
             raise ValueError(f"node_ceiling must be >= 1, not {self.ceiling}")
         self.nodes = 0
         self.leaves = 0
-        self.levels = [0] * (depth_limit + 1)
+        self.levels: list[int] = []
         self.max_width = 0  # widest child list seen, for iterative broadening
 
     def visit(self, depth: int) -> None:
         if self.nodes == self.ceiling:
             raise TreeCeilingError(self.nodes, self.ceiling)
         self.nodes += 1
+        if depth == len(self.levels):  # a node's parent was visited first
+            self.levels.append(0)
         self.levels[depth] += 1
 
 
@@ -249,7 +251,7 @@ class OverlapViolation:
 def _linearization_keys(plan: Plan) -> set[tuple]:
     keys = set()
     for seq in linear_extensions(plan):
-        keys.add(tuple(plan.by_label[lab].signature for lab in seq))
+        keys.add(tuple(plan.steps[lab].signature for lab in seq))
     return keys
 
 
@@ -265,9 +267,7 @@ def sibling_overlap_violations(
     to_index: dict[tuple, list[int]] = {}
     if tree_to is not None:
         for n in tree_to.nodes:
-            key = tuple(
-                n.plan.by_label[lab].signature for lab in n.plan.sequence
-            )
+            key = tuple(n.plan.steps[lab].signature for lab in n.plan.sequence)
             to_index.setdefault(key, []).append(n.id)
 
     out: list[OverlapViolation] = []
@@ -314,7 +314,7 @@ class TreeStats:
 def tree_stats(tree: SearchTree) -> TreeStats:
     """Counts, solution density over the leaves, and gap and run-length
     descriptions of the left-to-right solution layout."""
-    per_level = [0] * (tree.depth_limit + 1)
+    per_level = [0] * (1 + max((n.depth for n in tree.nodes), default=-1))
     for n in tree.nodes:
         per_level[n.depth] += 1
     leaves = [n for n in tree.nodes if not n.children_ids]
@@ -347,7 +347,7 @@ def tree_to_json(tree: SearchTree) -> list[dict]:
     out = []
     for n in tree.nodes:
         plan = n.plan
-        seq = [plan.by_label[lab].name for lab in plan.middle_labels]
+        seq = [plan.steps[lab].name for lab in plan.middle_labels]
         out.append(
             {
                 "id": n.id,

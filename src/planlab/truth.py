@@ -8,10 +8,12 @@ necessarily false when it is true in none, and ambiguous otherwise.
 ``modal_status`` decides the modality exactly.  It applies the
 all-linearizations oracle ``modal_status_brute`` to the projection: the
 subposet induced on the steps that can influence the proposition (its
-adders, its deleters, and the needing step).  Any linear extension of an
-induced subposet extends to a full linearization, so the projection loses
-nothing.  When the proposition has no deleters the modality follows
-directly from reachability.
+adders, its deleters, and the needing step), relabelled by position as
+``model.restrict`` does, so the needer is asked about at its position in
+the projection.  Any linear extension of an induced subposet extends to a
+full linearization, so the projection loses nothing.  When the
+proposition has no deleters the modality follows directly from
+reachability.
 
 A caller that asks about many related plans may pass a memo dict, which
 ``modal_status`` keys on the projection's roles and order alone (see its
@@ -72,7 +74,7 @@ def true_in_sequence(plan: Plan, seq: Sequence[int], needer: int, c: str) -> boo
     """Truth of precondition c at `needer` under a specific total order."""
     i = seq.index(needer)
     for lab in reversed(seq[:i]):
-        step = plan.by_label[lab]
+        step = plan.steps[lab]
         if c in step.adds:
             return True
         if c in step.dels:
@@ -110,7 +112,7 @@ def modal_status(
         return ModalStatus.NECESSARILY_FALSE
     labels = {*adders, *deleters, needer}
     if memo is None:
-        return modal_status_brute(restrict(plan, labels), needer, c)
+        return modal_status_brute(restrict(plan, labels), sorted(labels).index(needer), c)
     after = plan.after_sets
     key = (
         needer,
@@ -120,7 +122,8 @@ def modal_status(
     )
     status = memo.get(key)
     if status is None:
-        status = memo[key] = modal_status_brute(restrict(plan, labels), needer, c)
+        projection = restrict(plan, labels)
+        status = memo[key] = modal_status_brute(projection, sorted(labels).index(needer), c)
     return status
 
 
@@ -198,14 +201,9 @@ def steps_interact(s1: Step, s2: Step, mode: InteractionMode = "basic") -> bool:
 
 
 def precondition_entries(plan: Plan) -> list[GoalEntry]:
-    """Every (step, precondition) pair, in canonical order."""
-    out = [
-        GoalEntry(s.label, c)
-        for s in plan.steps
-        for c in sorted(s.pre)
-    ]
-    out.sort(key=GoalEntry.key)
-    return out
+    """Every (step, precondition) pair, in canonical order: steps by label,
+    conditions sorted."""
+    return [GoalEntry(s.label, c) for s in plan.steps for c in sorted(s.pre)]
 
 
 def is_unambiguous(plan: Plan) -> bool:
@@ -221,7 +219,7 @@ def false_in_sequence(plan: Plan, seq: Sequence[int]) -> list[GoalEntry]:
     state: set[str] = set()
     out: list[GoalEntry] = []
     for lab in seq:
-        step = plan.by_label[lab]
+        step = plan.steps[lab]
         for c in step.pre:
             if c not in state:
                 out.append(GoalEntry(lab, c))
@@ -236,7 +234,7 @@ def executes(plan: Plan, seq: Sequence[int]) -> bool:
     simulation of ``false_in_sequence``, stopped at the first false one."""
     state: set[str] = set()
     for lab in seq:
-        step = plan.by_label[lab]
+        step = plan.steps[lab]
         if not step.pre <= state:
             return False
         state -= step.dels

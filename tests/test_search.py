@@ -122,7 +122,7 @@ class TestDfs:
         tree = enumerate_tree(planner, 3)
         target = None
         for n in tree.nodes:
-            names = sorted(n.plan.by_label[lab].name for lab in n.plan.middle_labels)
+            names = sorted(n.plan.steps[lab].name for lab in n.plan.middle_labels)
             if names == ["closer", "supplier"]:
                 target = n
         result = planner.children(target.plan)

@@ -163,7 +163,7 @@ class TestCorrespondence:
         to_tree = enumerate_tree(make_planner(kinds[1], problem), depth)
 
         def signatures(plan, seq):
-            return tuple(plan.by_label[lab].signature for lab in seq)
+            return tuple(plan.steps[lab].signature for lab in seq)
 
         # Same parent-linking rule as build_correspondence, but a total-order
         # node qualifies when its signature sequence is one of the partial

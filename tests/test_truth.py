@@ -292,7 +292,7 @@ class TestInteracts:
             {(2, 3)},
         )
         assert plan.before(2, 3)
-        assert steps_interact(plan.by_label[2], plan.by_label[3])
+        assert steps_interact(plan.steps[2], plan.steps[3])
 
     def test_precondition_added_by_other(self):
         plan = build(
@@ -304,7 +304,7 @@ class TestInteracts:
             },
             set(),
         )
-        assert steps_interact(plan.by_label[2], plan.by_label[3])
+        assert steps_interact(plan.steps[2], plan.steps[3])
 
     def test_conditional_add_counts_only_in_conditional_mode(self):
         from planlab.model import cond
@@ -318,7 +318,7 @@ class TestInteracts:
         rng = random.Random(13)
         for _ in range(40):
             plan = random_plan(rng)
-            mids = [plan.by_label[lab] for lab in plan.middle_labels]
+            mids = [plan.steps[lab] for lab in plan.middle_labels]
             for i, a in enumerate(mids):
                 for b in mids[i + 1 :]:
                     for mode in ("basic", "conditional"):
