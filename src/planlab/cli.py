@@ -103,12 +103,7 @@ def _describe_plan(plan: Plan) -> str:
         lines.append("sequence: " + (" < ".join(seq) if seq else "(empty)"))
     else:
         lines.append("steps: " + " ".join(f"{lab}:{steps[lab].name}" for lab in middle))
-        ordered_pairs = sorted(
-            (a, b)
-            for a in middle
-            for b in plan.after_sets[a]
-            if b in middle
-        )
+        ordered_pairs = [(a, b) for a in middle for b in middle if plan.before(a, b)]
         lines.append(
             "orderings: "
             + (

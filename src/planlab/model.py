@@ -11,15 +11,16 @@ its positions, and ``extend`` keeps them so for every derived plan; only
 ``restrict``'s projections may lack the sentinels.
 
 A plan caches views of its order: its adjacency, one linearization (which
-also decides totality) and the transitive closure (which answers
-before/after).  A child derives each from its parent's, when that is
-cached and the child's order contains the parent's, by adding only its
-new edges: the linearization when ``extend`` builds a child with a new
-step, the others when first asked for.  Any other plan computes the view
-afresh, its linearization by Kahn's sort (``topological_order``) and its
-closure along its linearization when that is cached.  Only this module
-reads the cache; ``with_steps`` hands a plan's order views to a plan that
-differs from it in its steps alone.
+also decides totality) and the transitive closure, one int per label whose
+bits are the labels after it (``before`` is a shift and a mask).  A child
+derives each from its parent's, when that is cached and the child's order
+contains the parent's, by adding only its new edges: the linearization
+when ``extend`` builds a child with a new step, the others when first
+asked for.  Any other plan computes the view afresh: its linearization by
+Kahn's sort (``topological_order``), and its closure along that
+linearization.  Only this module reads the cache or builds the closure;
+``with_steps`` hands a plan's order views to a plan that differs from it
+in its steps alone.
 
 Plans compare by identity, not by field value: two nodes of a search tree
 may carry structurally identical plans and must stay distinct.
@@ -214,39 +215,36 @@ class Plan:
         return topological_order(self)
 
     @cached_property
-    def after_sets(self) -> dict[int, frozenset[int]]:
-        """label -> every label strictly after it (transitive closure).
+    def after(self) -> tuple[int, ...]:
+        """The transitive closure, one bitmask per label: bit b of
+        ``after[a]`` is set iff a strictly precedes b.
 
-        A plan that derives it from its parent's starts from that closure
-        and adds its new edges; a plan without a parent's closure to derive
-        from closes its order along its linearization when that is cached
-        (every ``to`` and ``ua`` child's), last label first, and otherwise
-        starts from none and adds every edge.  An edge (a, b) puts b and
-        everything after b after a and after everything before a."""
-        derives = self._derives("after_sets")
-        if not derives and "linear_order" in self.__dict__:
-            out: dict[int, frozenset[int]] = {}
-            for lab in reversed(self.linear_order):
-                succ = self.successors[lab]
-                out[lab] = frozenset(succ).union(*map(out.__getitem__, succ))
-            return out
-        out = dict.fromkeys(self.labels, frozenset())
-        edges = self.order
-        if derives:
-            out.update(self.parent.after_sets)
-            edges = self.new_edges
-        for a, b in edges:
-            if a == b or a in out[b]:
-                raise ValueError("plan ordering contains a cycle")
-            reach = out[b] | {b}
-            for lab, later in out.items():
-                if (lab == a or a in later) and not reach <= later:
-                    out[lab] = later | reach
-        return out
+        A plan that derives it from its parent's starts from the parent's
+        rows and adds its new edges: an edge (a, b) puts b and everything
+        after b after a and after everything before a, and is refused if b
+        already precedes a.  Any other plan closes its order along its
+        ``linear_order``, last label first, which sorts the plan if it was
+        not linearized yet, and so refuses a cycle there."""
+        if self._derives("after"):
+            out = list(self.parent.after)
+            out += [0] * (len(self.steps) - len(out))
+            for a, b in self.new_edges:
+                if a == b or out[b] >> a & 1:
+                    raise ValueError("plan ordering contains a cycle")
+                reach = out[b] | 1 << b
+                for lab, later in enumerate(out):
+                    if lab == a or later >> a & 1:
+                        out[lab] = later | reach
+            return tuple(out)
+        out = [0] * len(self.steps)
+        for lab in reversed(self.linear_order):
+            for s in self.successors[lab]:
+                out[lab] |= out[s] | 1 << s
+        return tuple(out)
 
     def before(self, a: int, b: int) -> bool:
         """True iff a strictly precedes b in the closure."""
-        return b in self.after_sets[a]
+        return self.after[a] >> b & 1 == 1
 
     @cached_property
     def is_total(self) -> bool:
@@ -372,7 +370,7 @@ def with_steps(plan: Plan, steps: tuple[Step, ...]) -> Plan:
     """`plan` with `steps`, which carry its labels at their positions, in place
     of its own, keeping every view of its order that it has cached."""
     variant = replace(plan, steps=steps)
-    views = ("new_edges", "predecessors", "successors", "linear_order", "after_sets", "is_total")
+    views = ("new_edges", "predecessors", "successors", "linear_order", "after", "is_total")
     variant.__dict__.update((view, plan.__dict__[view]) for view in views if view in plan.__dict__)
     return variant
 
@@ -460,15 +458,14 @@ def is_linearization(total: Plan, plan: Plan) -> bool:
 def restrict(plan: Plan, labels: Iterable[int]) -> Plan:
     """The subplan on a label subset, relabelled by position: the subset's
     i-th smallest label becomes label i, and the order is the closure
-    restricted to the subset.  Labels 0 and 1 are the sentinels only when
-    the subset keeps them."""
+    restricted to the subset, read from `plan`'s rows.  Labels 0 and 1 are
+    the sentinels only when the subset keeps them."""
     keep = sorted(set(labels))
-    position = {lab: i for i, lab in enumerate(keep)}
     steps = tuple(
         Step(i, s.name, s.pre, s.adds, s.dels, s.cadds, s.cdels, s.marked)
         for i, s in enumerate(plan.steps[lab] for lab in keep)
     )
-    after = plan.after_sets
-    edges = frozenset((i, position[b]) for i, a in enumerate(keep) for b in after[a] if b in position)
+    after = plan.after
+    edges = frozenset((i, j) for i, a in enumerate(keep) for j, b in enumerate(keep) if after[a] >> b & 1)
     return Plan(steps=steps, order=edges, parent=None, depth=0)
 

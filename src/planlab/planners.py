@@ -53,13 +53,13 @@ Planner kinds and their ordering stages:
          add the goal, interaction detection widens to dependency
          conditions and conditional effects, and a role-selection stage
          branches on marking versus specializing usable conditional adds;
-         it reads each candidate's closure, so these kinds build every
-         child.  A variant is its candidate's steps, some replaced by
-         position, in its candidate's order, and ``model.with_steps``
-         hands it the candidate's order views.  Two
-         paths of specialisation can reach one variant, so only the first
-         child with given step signatures and closure is kept, as ``mt``
-         keeps it.
+         it asks each candidate's ``before`` which steps follow a
+         conditional adder, so these kinds build every child.  A variant
+         is its candidate's steps, some replaced by position, in its
+         candidate's order, and ``model.with_steps`` hands it the
+         candidate's order views.  Two paths of specialisation can reach
+         one variant, so only the first child with given step signatures
+         and closure rows (``Plan.after``) is kept, as ``mt`` keeps it.
 ``mt``   deferred ordering driven by exact modal truth: establishers may
          be existing steps or fresh instances, threats are resolved one at
          a time by demotion or white-knight protection, and children may
@@ -243,11 +243,7 @@ def _spread(marks: set[int], start: int, adj: dict[int, Sequence[int]]) -> int:
 def _plan_key(plan: Plan) -> tuple:
     """What two sibling plans share exactly when they are one plan: their
     step signatures and the closure of their order."""
-    after = plan.after_sets
-    return (
-        tuple(s.signature for s in plan.steps),
-        frozenset((a, b) for a in after for b in after[a]),
-    )
+    return (tuple(s.signature for s in plan.steps), plan.after)
 
 
 class Planner:
@@ -477,7 +473,7 @@ class _RoleSelectionMixin:
         return ExtensionResult(tuple(children), tuple(costs))
 
     def _role_branches(self, cand: Plan) -> list[Plan]:
-        after = cand.after_sets
+        before = cand.before
         results: list[Plan] = []
 
         def find_trigger(steps: tuple[Step, ...]):
@@ -486,13 +482,11 @@ class _RoleSelectionMixin:
                     if idx in step.marked:
                         continue
                     c = ce.effect
-                    for ulab in sorted(after[lab]):
-                        if c not in steps[ulab].pre:
+                    for ulab in cand.labels:
+                        if not before(lab, ulab) or c not in steps[ulab].pre:
                             continue
                         blocked = any(
-                            c in steps[d].dels
-                            and d in after[lab]
-                            and ulab in after[d]
+                            c in steps[d].dels and before(lab, d) and before(d, ulab)
                             for d in cand.labels
                         )
                         if not blocked:
@@ -600,7 +594,7 @@ class ModalTruthPlanner(Planner):
 
         def branch(edge_set: frozenset, handled: frozenset[int], visits: int) -> None:
             child = extend(plan, new_step, edge_set)
-            after = child.after_sets
+            before = child.before
             visits += len(child.order)
             threats = [
                 d
@@ -608,8 +602,8 @@ class ModalTruthPlanner(Planner):
                 if c in st.dels
                 and d not in (o_add, needer)
                 and d not in handled
-                and o_add not in after[d]  # not necessarily before the adder
-                and d not in after[needer]  # not necessarily after the needer
+                and not before(d, o_add)  # not necessarily before the adder
+                and not before(needer, d)  # not necessarily after the needer
             ]
             if not threats:
                 key = _plan_key(child)
@@ -618,12 +612,12 @@ class ModalTruthPlanner(Planner):
                     out.append((child, visits))
                 return
             d = threats[0]
-            if needer not in after[d]:  # demotion stays acyclic
+            if not before(d, needer):  # demotion stays acyclic
                 branch(edge_set | {(needer, d)}, handled | {d}, visits)
             for k, st in enumerate(child.steps):
                 if k in (d, needer) or c not in st.adds:
                     continue
-                if d in after[k] or k in after[needer]:
+                if before(k, d) or before(needer, k):
                     continue  # must be possibly between the deleter and the needer
                 branch(edge_set | {(d, k), (k, needer)}, handled | {d}, visits)
 

@@ -16,9 +16,10 @@ proposition has no deleters the modality follows directly from
 reachability.
 
 A caller that asks about many related plans may pass a memo dict, which
-``modal_status`` keys on the projection's roles and order alone (see its
-docstring); the ``mt`` planner keeps one per planner, so a child's goal
-update reuses the projections it shares with its ancestors and siblings.
+``modal_status`` keys on the projection's roles and on the plan's closure
+rows masked to the projected labels (see its docstring); the ``mt``
+planner keeps one per planner, so a child's goal update reuses the
+projections it shares with its ancestors and siblings.
 An ``mt`` leaf that no heuristic rates is asked about its preconditions
 only up to the first that is not necessarily true, so fewer projections
 are enumerated (on the benchmark's traced ``descend`` round 0 at seed 0,
@@ -95,13 +96,14 @@ def modal_status(
 
     `memo`, when given, maps projection keys to statuses decided earlier
     and receives every status this call enumerates.  The key is the
-    needer, the adders, the deleters and the closure pairs among them.
-    That is all the enumeration reads: the linear extensions depend only
-    on the labels and the pairs, and ``true_in_sequence`` only on whether
-    each step before the needer adds or deletes c.  So equal keys have
-    equal statuses whatever the plan, the proposition or the operators
-    behind the labels.  A hit builds no projection and enumerates nothing.
-    Without a memo the call restricts and enumerates every time.
+    needer, the adders, the deleters and each of their closure rows
+    masked to them, in label order.  That is all the enumeration reads:
+    the linear extensions depend only on the labels and the order among
+    them, and ``true_in_sequence`` only on whether each step before the
+    needer adds or deletes c.  So equal keys have equal statuses whatever
+    the plan, the proposition or the operators behind the labels.  A hit
+    builds no projection and enumerates nothing.  Without a memo the call
+    restricts and enumerates every time.
     """
     adders, deleters = _adders_and_deleters(plan, needer, c)
     if not deleters:
@@ -110,20 +112,15 @@ def modal_status(
         if any(not plan.before(needer, a) for a in adders):
             return ModalStatus.AMBIGUOUS
         return ModalStatus.NECESSARILY_FALSE
-    labels = {*adders, *deleters, needer}
+    keep = sorted({*adders, *deleters, needer})
     if memo is None:
-        return modal_status_brute(restrict(plan, labels), sorted(labels).index(needer), c)
-    after = plan.after_sets
-    key = (
-        needer,
-        tuple(adders),
-        tuple(deleters),
-        frozenset((a, b) for a in labels for b in after[a] if b in labels),
-    )
+        return modal_status_brute(restrict(plan, keep), keep.index(needer), c)
+    mask = sum(1 << lab for lab in keep)
+    after = plan.after
+    key = (needer, tuple(adders), tuple(deleters), tuple(after[lab] & mask for lab in keep))
     status = memo.get(key)
     if status is None:
-        projection = restrict(plan, labels)
-        status = memo[key] = modal_status_brute(projection, sorted(labels).index(needer), c)
+        status = memo[key] = modal_status_brute(restrict(plan, keep), keep.index(needer), c)
     return status
 
 

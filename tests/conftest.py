@@ -17,6 +17,8 @@ from planlab.model import (
     make_op,
 )
 
+from helpers import closure_pairs
+
 
 def chain_plan(problem: Problem, op_names: list[str]) -> Plan:
     """A totally ordered plan running the named library operators in order.
@@ -49,7 +51,7 @@ def brute_topological_orders(plan: Plan) -> list[tuple[int, ...]]:
     """Independent oracle: filter all label permutations by edge respect."""
     out = []
     lab_list = sorted(plan.labels)
-    closure = {(a, b) for a in plan.labels for b in plan.after_sets[a]}
+    closure = closure_pairs(plan)
     for perm in itertools.permutations(lab_list):
         pos = {lab: i for i, lab in enumerate(perm)}
         if all(pos[a] < pos[b] for a, b in closure):

@@ -8,8 +8,10 @@ criterion C09 compares against.  ``equivalent``,
 and ``is_compact_solution`` are brute-force oracles the tests compare
 planner output against, ``validate_plan`` checks a plan's structural
 invariants, ``orders_forward`` checks a label sequence against a plan's
-order, and ``runs_to_the_goals`` executes one with the state-space
-oracle's ``apply_operator``.
+order, ``closure_pairs`` lists the pairs ``Plan.before`` affirms and
+``reachable_pairs`` the pairs a walk over the order's edges connects, and
+``runs_to_the_goals`` executes a sequence with the state-space oracle's
+``apply_operator``.
 """
 
 from __future__ import annotations
@@ -212,6 +214,30 @@ def orders_forward(plan: Plan, seq: tuple[int, ...]) -> bool:
         and position.keys() == set(plan.labels)
         and all(position[a] < position[b] for a, b in plan.order)
     )
+
+
+def closure_pairs(plan: Plan) -> frozenset[tuple[int, int]]:
+    """Every pair (a, b) of `plan`'s labels for which ``plan.before(a, b)``."""
+    return frozenset((a, b) for a in plan.labels for b in plan.labels if plan.before(a, b))
+
+
+def reachable_pairs(plan: Plan) -> frozenset[tuple[int, int]]:
+    """Every pair (a, b) such that a path of `plan.order`'s edges leads
+    from a to b: the closure, found by a walk that reads no model view."""
+    succ: dict[int, list[int]] = {}
+    for a, b in plan.order:
+        succ.setdefault(a, []).append(b)
+    pairs: set[tuple[int, int]] = set()
+    for a, out in succ.items():
+        seen: set[int] = set()
+        stack = list(out)
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(succ.get(b, ()))
+        pairs.update((a, b) for b in seen)
+    return frozenset(pairs)
 
 
 def runs_to_the_goals(problem: Problem, plan: Plan, seq: tuple[int, ...]) -> bool:

@@ -41,6 +41,7 @@ from planlab.trees import (
 from planlab.truth import last_deleter, steps_interact
 
 from helpers import (
+    closure_pairs,
     equivalent,
     is_compact_solution,
     is_unambiguous_brute,
@@ -425,10 +426,7 @@ def _ua_extension_set(planner, plan, goals):
             ):
                 continue
             valid.append(cand)
-        closures = [
-            frozenset((a, b) for a in cand.labels for b in cand.after_sets[a])
-            for cand in valid
-        ]
+        closures = [closure_pairs(cand) for cand in valid]
         out.extend(
             cand
             for i, cand in enumerate(valid)

@@ -362,6 +362,31 @@ class TestCeilings:
         assert main([*argv, "--depth-limit", str(10**19)]) == code
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_deep_search_stops_at_the_ceiling_within_memory(self):
+        # Every plan on an ibroad path keeps its closure alive, so closures
+        # must stay one int per step for 2,000 nodes 400 deep to fit in
+        # 1 GiB of address space, which the child process sets on itself.
+        pytest.importorskip("resource")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import resource, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
+            "from planlab.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["solve", "fixture:sussman", "--strategy", "ibroad", "--node-ceiling", "2000", "--depth-limit", "400"]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == EXIT_CEILING, done.stderr
+        assert "exceeded 2000 nodes" in done.stderr
+        assert "Traceback" not in done.stderr
+
     # sussman at its minimal depth of 3 finishes in milliseconds, so a
     # command that ignored the ceiling would fail here rather than hang
     @pytest.mark.parametrize("command", ["solve", "verify", "dump-tree"])

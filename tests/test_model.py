@@ -313,33 +313,40 @@ class TestExtend:
         [{(FINAL_STEP, 2)}, {(3, 2)}, {(2, 3), (3, 4), (4, 2)}, {(3, 3)}],
         ids=["through-the-parent", "reversed", "new-loop", "self"],
     )
-    def test_closure_from_the_parent_refuses_a_cycle(self, edges):
+    def test_closure_from_the_parent_refuses_a_cycle(self, edges, kahn_sorts):
         # The parent's closure is cached, so the child derives its own from
-        # it; an edge closing a cycle must be refused there, as the sort
-        # refuses it.
+        # it; an edge closing a cycle must be refused there, without a sort.
+        # A plan without a parent closes its order along its linearization,
+        # so the sort refuses the same cycle.
         parent = plan_of(chain(2), middle=2)
         assert parent.before(2, 3)
         child = extend(parent, Step(4, "op2"), {(INIT_STEP, 4), (4, FINAL_STEP)} | edges)
         with pytest.raises(ValueError, match="plan ordering contains a cycle"):
-            child.after_sets
+            child.after
+        fresh = Plan(child.steps, child.order)
         with pytest.raises(ValueError, match="plan ordering contains a cycle"):
-            Plan(child.steps, child.order).after_sets
+            fresh.after
+        assert kahn_sorts == [parent, fresh]
 
     def test_closure_from_the_parent_equals_a_fresh_one(self, kahn_sorts):
         parent = plan_of(chain(2), middle=4)
-        parent.after_sets, parent.predecessors, parent.successors
-        child = extend(parent, Step(6, "op4"), {(INIT_STEP, 6), (6, FINAL_STEP), (3, 6), (6, 4)})
-        assert child.before(2, 4) and not child.before(4, 5)
+        parent.after, parent.predecessors, parent.successors
+        # Step 4 comes before step 5 in the parent's linearization, so the
+        # child, with 5 before 6 before 4, is not linearized by ``extend``.
+        edges = {(INIT_STEP, 6), (6, FINAL_STEP), (3, 6), (5, 6), (6, 4)}
+        child = extend(parent, Step(6, "op4"), edges)
+        assert child.before(2, 4) and child.before(5, 4) and not child.before(4, 5)
         fresh = Plan(child.steps, child.order)
-        assert child.after_sets == fresh.after_sets
+        assert child.after == fresh.after
         assert child.predecessors == fresh.predecessors
         assert child.successors == fresh.successors
-        # No new edge touches step 5, so views derived from the parent's
-        # share its entries for step 5; views computed afresh build their own.
-        assert child.after_sets[5] is parent.after_sets[5]
-        assert child.predecessors[5] is parent.predecessors[5]
-        assert child.successors[5] is parent.successors[5]
-        assert kahn_sorts == []  # a closure needs no linearization
+        # A closure derived from the parent's needs no linearization, so the
+        # child is never sorted; a closure computed afresh sorts its plan.
+        assert kahn_sorts == [parent, fresh]
+        # No new edge touches step 2, so adjacency derived from the parent's
+        # shares its entries for step 2; adjacency computed afresh builds its own.
+        assert child.predecessors[2] is parent.predecessors[2]
+        assert child.successors[2] is parent.successors[2]
 
     def test_child_inserts_its_step_into_the_parents_linearization(self, kahn_sorts):
         parent = plan_of(chain(2), middle=4)
@@ -350,12 +357,12 @@ class TestExtend:
         assert child.predecessors == Plan(child.steps, child.order).predecessors
         assert child.successors == Plan(child.steps, child.order).successors
         # The parent's closure was never asked for, so the child closes its
-        # order along its own linearization.
-        assert child.after_sets == Plan(child.steps, child.order).after_sets
-        assert not child.is_total and kahn_sorts == [parent]
+        # order along its own linearization, which it was not sorted for.
+        assert child.after == Plan(child.steps, child.order).after
+        assert not child.is_total and child not in kahn_sorts
         # A child without a new step (only mt builds one) sorts its own.
         grandchild = extend(child, None, {(4, 5)})
-        assert grandchild.is_total and kahn_sorts == [parent, grandchild]
+        assert grandchild.is_total and kahn_sorts[-1] is grandchild
 
     def test_child_sorts_when_a_successor_comes_first(self, kahn_sorts):
         # Step 4 comes before step 5 in the parent's linearization, so no
@@ -372,11 +379,11 @@ class TestExtend:
 
     def test_with_steps_keeps_the_order_views_only(self):
         plan = plan_of(chain(2), middle=3)
-        plan.after_sets, plan.linear_order
+        plan.after, plan.linear_order
         steps = tuple(replace(s, name=s.name + "'") for s in plan.steps)
         variant = with_steps(plan, steps)
         assert variant.steps == steps and variant.order == plan.order
-        assert variant.after_sets is plan.after_sets
+        assert variant.after is plan.after
         assert variant.linear_order is plan.linear_order
         assert variant.steps[2].name == "op0'"
 

@@ -34,7 +34,7 @@ from planlab.truth import (
 )
 
 from conftest import chain_plan, linearization_plans
-from helpers import equivalent, is_unambiguous_brute, orders_forward, validate_plan
+from helpers import closure_pairs, equivalent, is_unambiguous_brute, orders_forward, validate_plan
 
 
 def named_problem(name: str) -> Problem:
@@ -192,15 +192,10 @@ class TestUnambiguousChildren:
             new_label = max(child.labels)
             added = child.order - parent.order
             new_step = child.steps[new_label]
-            child_closure = {
-                (a, b) for a in child.labels for b in child.after_sets[a]
-            }
+            child_closure = closure_pairs(child)
             for edge in added:
                 reduced = Plan(child.steps, child.order - {edge})
-                reduced_closure = {
-                    (a, b) for a in reduced.labels for b in reduced.after_sets[a]
-                }
-                if reduced_closure == child_closure:
+                if closure_pairs(reduced) == child_closure:
                     continue  # transitively redundant edge: relation unchanged
                 (goal_entry,) = [
                     e
@@ -342,10 +337,7 @@ class TestExtensionCharacterizations:
                 ):
                     continue
                 valid.append(cand)
-            closures = [
-                frozenset((a, b) for a in cand.labels for b in cand.after_sets[a])
-                for cand in valid
-            ]
+            closures = [closure_pairs(cand) for cand in valid]
             out.extend(
                 cand
                 for i, cand in enumerate(valid)
@@ -696,7 +688,7 @@ class TestChildPlans:
             if kind in ("to", "toc"):
                 assert plan.linear_order == fresh.linear_order
             assert plan.is_total == fresh.is_total
-            assert plan.after_sets == fresh.after_sets
+            assert plan.after == fresh.after
             assert list(plan.labels) == sorted(plan.labels)
             parent = None if node.parent_id is None else tree.nodes[node.parent_id].plan
             assert plan.parent is parent
