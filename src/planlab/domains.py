@@ -7,9 +7,10 @@ come in three shapes (block to block, table to block, block to table) and
 every delete is a precondition.
 
 The chain domain (`d1s1_problem`) has initial markers i1..i15 and one
-operator per index: o_k requires i_k, achieves g_k and wipes out i_{k-1}.
-Goal sets over consecutive indices therefore admit exactly one compact
-solution, fully ordered by index.
+operator per index: o_k requires i_k, achieves g_k and wipes out i_{k-1},
+which it also requires, since every delete is a precondition.  Goal sets
+over consecutive indices therefore admit exactly one compact solution,
+fully ordered by index.  Every chain problem shares one operator library.
 """
 
 from __future__ import annotations
@@ -142,34 +143,33 @@ def blocksworld_problem(spec: BlocksworldSpec) -> Problem:
 CHAIN_SIZE = 15
 
 
+def _chain_operators():
+    for k in range(1, CHAIN_SIZE + 1):
+        dels = {f"i{k-1}"} if k > 1 else set()
+        yield make_op(f"o{k}", pre={f"i{k}"} | dels, adds={f"g{k}"}, dels=dels)
+
+
+# Every chain problem shares one library and one initial state.
+_CHAIN_LIBRARY = tuple(_chain_operators())
+_CHAIN_INIT = frozenset(f"i{k}" for k in range(1, CHAIN_SIZE + 1))
+
+
 def d1s1_problem(goal_indices: Iterable[int]) -> Problem:
     """The indexed chain domain over markers i1..i15 and targets g1..g15.
 
-    Operator o_k requires i_k, adds g_k and deletes i_{k-1}; o_1 deletes
-    nothing.
+    Operator o_k requires i_k, adds g_k and deletes i_{k-1}, which it
+    therefore also requires; o_1 requires only i_1 and deletes nothing.
     """
     indices = sorted(set(goal_indices))
     if not indices:
         raise ValueError("at least one goal index is required")
     if indices[0] < 1 or indices[-1] > CHAIN_SIZE:
         raise ValueError(f"goal indices must lie in 1..{CHAIN_SIZE}")
-    init = {f"i{k}" for k in range(1, CHAIN_SIZE + 1)}
-    ops = []
-    for k in range(1, CHAIN_SIZE + 1):
-        dels = {f"i{k-1}"} if k > 1 else set()
-        ops.append(
-            make_op(
-                f"o{k}",
-                pre={f"i{k}"} | dels,
-                adds={f"g{k}"},
-                dels=dels,
-            )
-        )
     return Problem(
         name="chain_" + "_".join(str(k) for k in indices),
-        init=frozenset(init),
+        init=_CHAIN_INIT,
         goals=frozenset(f"g{k}" for k in indices),
-        library=tuple(ops),
+        library=_CHAIN_LIBRARY,
     )
 
 

@@ -9,15 +9,18 @@ and ``is_compact_solution`` are brute-force oracles the tests compare
 planner output against, ``validate_plan`` checks a plan's structural
 invariants, ``orders_forward`` checks a label sequence against a plan's
 order, ``closure_pairs`` lists the pairs ``Plan.before`` affirms and
-``reachable_pairs`` the pairs a walk over the order's edges connects, and
+``reachable_pairs`` the pairs a walk over the order's edges connects,
 ``runs_to_the_goals`` executes a sequence with the state-space oracle's
-``apply_operator``.
+``apply_operator`` and ``minimal_solution_length_brute`` is that oracle's
+search over frozenset states, stepping with ``apply_operator``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
+from typing import Optional
 
 from planlab.domains import BlocksworldSpec, blocksworld_problem
 from planlab.model import (
@@ -29,7 +32,8 @@ from planlab.model import (
     linear_extensions,
     restrict,
 )
-from planlab.oracle import apply_operator, minimal_solution_length
+from planlab import oracle
+from planlab.oracle import OracleCeilingError, apply_operator, minimal_solution_length
 from planlab.planners import make_planner
 from planlab.search import StrategyConfig, run_trials
 from planlab.trees import TreeCeilingError, enumerate_tree
@@ -253,6 +257,33 @@ def runs_to_the_goals(problem: Problem, plan: Plan, seq: tuple[int, ...]) -> boo
             return False
         state = apply_operator(state, step)
     return problem.goals <= state
+
+
+def minimal_solution_length_brute(problem: Problem) -> Optional[int]:
+    """Breadth-first ``oracle.minimal_solution_length`` over frozenset
+    states: operators in library order, the goal test when a state is
+    generated, and a refusal once more than ``oracle.STATE_CEILING``
+    states are seen."""
+    start = frozenset(problem.init)
+    if problem.goals <= start:
+        return 0
+    seen = {start}
+    queue: deque[tuple[frozenset[str], int]] = deque([(start, 0)])
+    while queue:
+        state, dist = queue.popleft()
+        for op in problem.library:
+            if not op.pre <= state:
+                continue
+            nxt = apply_operator(state, op)
+            if nxt in seen:
+                continue
+            if problem.goals <= nxt:
+                return dist + 1
+            seen.add(nxt)
+            if len(seen) > oracle.STATE_CEILING:
+                raise OracleCeilingError(f"state-space search exceeded {oracle.STATE_CEILING} states")
+            queue.append((nxt, dist + 1))
+    return None
 
 
 def is_unambiguous_brute(plan: Plan) -> bool:

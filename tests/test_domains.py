@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import pytest
 
 from planlab.domains import (
+    CHAIN_SIZE,
     BlocksworldSpec,
     ParseError,
     blocksworld_operators,
@@ -99,6 +103,21 @@ class TestChainDomain:
             d1s1_problem([])
         with pytest.raises(ValueError):
             d1s1_problem([16])
+
+    def test_every_chain_problem_shares_one_valid_library(self):
+        assert d1s1_problem([1]).library is d1s1_problem([2, 5]).library
+        for op in d1s1_problem([1]).library:
+            op.validate()
+
+    def test_chain_problems_serialize_as_when_each_built_its_own_library(self):
+        # sha1 of the serializations of every chain subset of up to three
+        # goals, in `itertools.combinations` order, as written when
+        # `d1s1_problem` built a fresh library on every call
+        digest = hashlib.sha1()
+        for size in (1, 2, 3):
+            for combo in itertools.combinations(range(1, CHAIN_SIZE + 1), size):
+                digest.update(serialize_problem(d1s1_problem(combo)).encode())
+        assert digest.hexdigest() == "91fac268b05ba68cd7e31f69b302cd30d1c934e5"
 
 
 class TestSuite:

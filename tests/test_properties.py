@@ -8,7 +8,9 @@ no larger, every partial-order node is unambiguous and has a unique
 last deleter for every precondition, corresponding nodes have equal
 open-goal counts (the h-property), and breadth-first search with either
 planner solves within depth 3 exactly when the state-space oracle's
-minimal length is at most 3, and at that length (completeness).  Every
+minimal length is at most 3, and at that length (completeness); that
+oracle's bitmask search gives the same length as a breadth-first search
+over frozenset states, on these problems and the conditional ones.  Every
 ``mt`` node's goals are checked against the all-linearizations oracle,
 and every ``to``, ``ua`` and ``mt`` node's ``is_solution`` against its
 goal set, with the goal set cached and without.  Every ``to``, ``ua``
@@ -68,6 +70,7 @@ from helpers import (
     closure_pairs,
     is_linearization_brute,
     is_unambiguous_brute,
+    minimal_solution_length_brute,
     orders_forward,
     reachable_pairs,
     runs_to_the_goals,
@@ -408,6 +411,14 @@ def test_bfs_solves_at_the_oracle_minimal_length(problem):
     for kind in ("ua", "to"):
         outcome = bfs(make_planner(kind, problem), StrategyConfig(strategy="bfs", depth_limit=3))
         assert outcome.solution_length == expected, kind
+
+
+@EXAMPLES
+@given(problem=problems(), conditional=conditional_problems())
+@example(problem=INDEPENDENT, conditional=TWO_INTERACTING)
+def test_the_bitmask_oracle_agrees_with_the_frozenset_search(problem, conditional):
+    for each in (problem, conditional):
+        assert minimal_solution_length(each) == minimal_solution_length_brute(each)
 
 
 def test_problems_include_longer_solvable_ones():
