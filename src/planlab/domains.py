@@ -4,7 +4,8 @@ the problem-file format.
 The blocksworld encoding is fully ground.  Positions are ``on_X_Y`` and
 ``on_table_X``; a block is movable when ``clear_X`` holds.  Move operators
 come in three shapes (block to block, table to block, block to table) and
-every delete is a precondition.
+every delete is a precondition.  Problems with the same number of blocks
+share one operator library.
 
 The chain domain (`d1s1_problem`) has initial markers i1..i15 and one
 operator per index: o_k requires i_k, achieves g_k and wipes out i_{k-1},
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .model import CondEffect, OperatorSchema, Problem, make_op
@@ -75,7 +77,10 @@ def _random_forest(blocks: Sequence[str], rng) -> dict[str, Optional[str]]:
     return below
 
 
+@lru_cache(maxsize=None)
 def blocksworld_operators(n_blocks: int) -> tuple[OperatorSchema, ...]:
+    """The move library over the first `n_blocks` blocks, built once per
+    block count and shared by every problem with that many blocks."""
     blocks = list(BLOCK_NAMES[:n_blocks])
     ops = []
     for x in blocks:

@@ -13,7 +13,12 @@ how a child is ordered and which goals count as open:
                          the first precondition that is not necessarily
                          true; every depth-0 plan computes the goal set,
                          after the planner's input check)
-  2. goal selection      (first open goal, or a seeded choice)
+  2. goal selection      (first open goal, or a seeded choice: a lone
+                         goal draws nothing; otherwise ``random.Random``
+                         seeded with ``seed|depth|needer:condition,...``
+                         draws an index, memoised on that text in a
+                         1024-entry LRU, so corresponding ``ua`` and
+                         ``to`` nodes share one draw)
   3. operator selection  (library operators that add the selected goal)
   4. ordering selection  (planner specific, instrumented): one recipe
                          per child; ``to`` and ``ua`` build a child plan
@@ -83,7 +88,7 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
@@ -223,6 +228,14 @@ class PlannerConfig:
             raise ValueError(f"unknown goal selection {self.goal_selection!r}")
 
 
+@lru_cache(maxsize=1024)
+def _seeded_index(text: str, n: int) -> int:
+    """The seeded goal draw: an index below `n` from an RNG seeded with
+    `text`.  Pure, so memoised; the bound keeps a long-lived process that
+    sees many seeds from growing it without limit."""
+    return random.Random(text).randrange(n)
+
+
 def _spread(marks: set[int], start: int, adj: dict[int, Sequence[int]]) -> int:
     """Mark `start` and everything reachable from it through `adj`; the
     cost is one visit per out-edge of every newly marked node."""
@@ -302,10 +315,15 @@ class Planner:
         return executes(plan, plan.linear_order)
 
     def select_goal(self, plan: Plan, goals: tuple[GoalEntry, ...]) -> GoalEntry:
-        if self.config.goal_selection == "seeded":
+        """The first open goal, or under ``seeded`` selection the goal at
+        an index drawn from an RNG seeded with the text
+        ``seed|depth|needer:condition,...`` (the goals in order).  A lone
+        goal is returned without a draw, which could only give 0; other
+        draws go through ``_seeded_index``, an LRU of 1024 texts, so a
+        repeated goal list at the same seed and depth is read back."""
+        if self.config.goal_selection == "seeded" and len(goals) > 1:
             key = ",".join(f"{e.needer}:{e.condition}" for e in goals)
-            rng = random.Random(f"{self.config.seed}|{plan.depth}|{key}")
-            return goals[rng.randrange(len(goals))]
+            return goals[_seeded_index(f"{self.config.seed}|{plan.depth}|{key}", len(goals))]
         return goals[0]
 
     # -- extension -----------------------------------------------------

@@ -11,8 +11,11 @@ invariants, ``orders_forward`` checks a label sequence against a plan's
 order, ``closure_pairs`` lists the pairs ``Plan.before`` affirms and
 ``reachable_pairs`` the pairs a walk over the order's edges connects,
 ``runs_to_the_goals`` executes a sequence with the state-space oracle's
-``apply_operator`` and ``minimal_solution_length_brute`` is that oracle's
-search over frozenset states, stepping with ``apply_operator``.
+``apply_operator``, ``minimal_solution_length_brute`` is that oracle's
+search over frozenset states, stepping with ``apply_operator``, and
+``seeded_goal_brute`` is goal selection drawing from a fresh RNG on every
+call, with no memo and no shortcut for a lone goal; ``seeded_picks``
+records the goal choices a tree enumeration makes.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ from planlab.model import (
 )
 from planlab import oracle
 from planlab.oracle import OracleCeilingError, apply_operator, minimal_solution_length
-from planlab.planners import make_planner
+from planlab.planners import PlannerConfig, make_planner
 from planlab.search import StrategyConfig, run_trials
 from planlab.trees import TreeCeilingError, enumerate_tree
-from planlab.truth import ModalStatus, modal_status, modal_status_brute, precondition_entries
+from planlab.truth import GoalEntry, ModalStatus, modal_status, modal_status_brute, precondition_entries
 
 SUITE_CLASSES = (1, 2, 3, 4)
 SUITE_PER_CLASS = 11
@@ -284,6 +287,32 @@ def minimal_solution_length_brute(problem: Problem) -> Optional[int]:
                 raise OracleCeilingError(f"state-space search exceeded {oracle.STATE_CEILING} states")
             queue.append((nxt, dist + 1))
     return None
+
+
+def seeded_goal_brute(config: PlannerConfig, plan: Plan, goals: tuple[GoalEntry, ...]) -> GoalEntry:
+    """``Planner.select_goal`` as it was before its draws were memoised."""
+    if config.goal_selection == "seeded":
+        key = ",".join(f"{e.needer}:{e.condition}" for e in goals)
+        rng = random.Random(f"{config.seed}|{plan.depth}|{key}")
+        return goals[rng.randrange(len(goals))]
+    return goals[0]
+
+
+def seeded_picks(kind: str, problem: Problem, config: PlannerConfig, depth: int) -> list:
+    """``(plan, goals, chosen)`` for every goal choice the `kind` tree of
+    `problem` to `depth` makes, one per extended node."""
+    planner = make_planner(kind, problem, config)
+    picks = []
+    select = planner.select_goal
+
+    def spy(plan, goals):
+        picks.append((plan, goals, select(plan, goals)))
+        return picks[-1][2]
+
+    planner.select_goal = spy
+    tree = enumerate_tree(planner, depth)
+    assert len(picks) == sum(1 for n in tree.nodes if n.goals and n.depth < depth)
+    return picks
 
 
 def is_unambiguous_brute(plan: Plan) -> bool:

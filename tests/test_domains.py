@@ -66,6 +66,26 @@ class TestBlocksworld:
         with pytest.raises(ValueError):
             BlocksworldSpec(n_blocks=1, seed=0)
 
+    def test_suite_problems_with_one_block_count_share_one_library(self):
+        from planlab.domains import SUITE_ENTRIES, standard_suite
+
+        for (_, n_blocks, _), (_, problem) in zip(SUITE_ENTRIES, standard_suite()):
+            assert problem.library is blocksworld_operators(n_blocks)
+        assert fixture("sussman").library is blocksworld_operators(3)
+
+    def test_suite_serializes_as_when_each_problem_built_its_own_library(self):
+        # sha1 of the 44 suite serializations in suite order, and of the
+        # fixture built on the 3-block library, as written when every
+        # blocksworld problem built a fresh library
+        from planlab.domains import standard_suite
+
+        digest = hashlib.sha1()
+        for _, problem in standard_suite():
+            digest.update(serialize_problem(problem).encode())
+        assert digest.hexdigest() == "10de6242d66b355f60feaa4c8c2778c4f5eaa732"
+        sussman = serialize_problem(fixture("sussman")).encode()
+        assert hashlib.sha1(sussman).hexdigest() == "b3ac6aae38f8d694b77d62b4964eef3897a2f6f0"
+
 
 class TestChainDomain:
     def test_single_goal_unique_solution(self):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from planlab.domains import d1s1_problem, fixture, standard_suite
+from planlab.domains import d1s1_problem, fixture, fixture_names, standard_suite
 from planlab.model import (
     FINAL_STEP,
     INIT_STEP,
@@ -34,7 +34,15 @@ from planlab.truth import (
 )
 
 from conftest import chain_plan, linearization_plans
-from helpers import closure_pairs, equivalent, is_unambiguous_brute, orders_forward, validate_plan
+from helpers import (
+    closure_pairs,
+    equivalent,
+    is_unambiguous_brute,
+    orders_forward,
+    seeded_goal_brute,
+    seeded_picks,
+    validate_plan,
+)
 
 
 def named_problem(name: str) -> Problem:
@@ -639,6 +647,8 @@ class TestGoalSelection:
         goals = tuple(GoalEntry(1, f"p{i}") for i in range(5))
         root = p1.root()
         assert p1.select_goal(root, goals) == p2.select_goal(p2.root(), goals)
+        # the second pick may be read back from the memo; the reference draws afresh
+        assert p2.select_goal(p2.root(), goals) == seeded_goal_brute(cfg, root, goals)
 
     def test_seeded_varies_with_seed(self, tiny_problem):
         goals = tuple(GoalEntry(1, f"p{i}") for i in range(8))
@@ -649,6 +659,49 @@ class TestGoalSelection:
             for s in range(10)
         }
         assert len(chosen) > 1
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_every_extension_draws_the_reference_goal(self, seed):
+        """Every extended node of seeded trees of all five kinds, over the
+        fixtures, suite problems of every class and a chain problem, picks
+        the goal a fresh RNG draws, single-goal nodes included."""
+        cfg = PlannerConfig(goal_selection="seeded", seed=seed)
+        suite = standard_suite()
+        problems = [fixture(name) for name in fixture_names()]
+        problems += [suite[i][1] for i in (0, 12, 23, 34)] + [d1s1_problem([3, 5, 6])]
+        extended = {1: 0, 2: 0}
+        for problem in problems:
+            conditional = any(op.cadds or op.cdels for op in problem.library)
+            for kind in ("uac", "toc") if conditional else ("ua", "to", "mt"):
+                for plan, goals, chosen in seeded_picks(kind, problem, cfg, 4):
+                    assert chosen == seeded_goal_brute(cfg, plan, goals), (problem.name, kind)
+                    extended[min(len(goals), 2)] += 1
+        assert extended[1] > 0 and extended[2] > 0
+
+    def test_a_lone_goal_draws_nothing(self, tiny_problem, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no RNG for a lone goal")
+
+        monkeypatch.setattr(planners.random, "Random", refuse)
+        planner = make_planner("to", tiny_problem, PlannerConfig(goal_selection="seeded", seed=5))
+        root = planner.root()
+        assert planner.select_goal(root, (GoalEntry(1, "a"),)) == GoalEntry(1, "a")
+        # the patch is live: two goals under a seed no other test uses miss the memo
+        unused = make_planner("to", tiny_problem, PlannerConfig(goal_selection="seeded", seed=-424242))
+        with pytest.raises(AssertionError, match="no RNG"):
+            unused.select_goal(root, (GoalEntry(1, "a"), GoalEntry(1, "b")))
+
+    def test_a_to_tree_reads_back_the_draws_of_the_ua_tree(self):
+        cfg = PlannerConfig(goal_selection="seeded", seed=11)
+        problem = fixture("sussman")
+        enumerate_tree(make_planner("ua", problem, cfg), 4)
+        before = planners._seeded_index.cache_info()
+        enumerate_tree(make_planner("to", problem, cfg), 4)
+        after = planners._seeded_index.cache_info()
+        assert after.hits > before.hits
+
+    def test_the_draw_memo_is_bounded(self):
+        assert planners._seeded_index.cache_info().maxsize == 1024
 
     @pytest.mark.parametrize("mode", ["seded", "Seeded", "random", ""])
     def test_unknown_mode_refused(self, mode):

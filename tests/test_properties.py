@@ -33,8 +33,10 @@ trees has the adjacency, closure and totality of a fresh plan with its
 steps and order, although a derived plan builds them from its parent's,
 and a linearization of its order: for ``to``/``toc`` the fresh plan's
 one, for the other kinds perhaps another.  A hand-built child whose order
-lacks one of its parent's edges computes all of them afresh.  The
-examples are derandomized, so every run checks the same problems.
+lacks one of its parent's edges computes all of them afresh.  Under
+seeded goal selection, every goal choice of all five planners' trees,
+lone goals included, is the goal a fresh RNG draws.  The examples are
+derandomized, so every run checks the same problems.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from hypothesis import strategies as st
 from planlab.domains import fixture
 from planlab.model import Plan, Problem, cond, is_linearization, linear_extensions, make_op
 from planlab.oracle import minimal_solution_length
-from planlab.planners import make_planner
+from planlab.planners import PlannerConfig, make_planner
 from planlab.search import StrategyConfig, bfs
 from planlab import trees
 from planlab.trees import (
@@ -74,6 +76,8 @@ from helpers import (
     orders_forward,
     reachable_pairs,
     runs_to_the_goals,
+    seeded_goal_brute,
+    seeded_picks,
 )
 
 PROPS = ("a", "b", "c", "d")
@@ -419,6 +423,18 @@ def test_bfs_solves_at_the_oracle_minimal_length(problem):
 def test_the_bitmask_oracle_agrees_with_the_frozenset_search(problem, conditional):
     for each in (problem, conditional):
         assert minimal_solution_length(each) == minimal_solution_length_brute(each)
+
+
+@EXAMPLES
+@given(problem=problems(), conditional=conditional_problems(), seed=st.integers(0, 10_000))
+@example(problem=TWO_INTERACTING, conditional=CONDITIONAL[1][0], seed=0)
+def test_every_seeded_goal_choice_is_the_fresh_rng_draw(problem, conditional, seed):
+    config = PlannerConfig(goal_selection="seeded", seed=seed)
+    runs = [(kind, problem) for kind in ("ua", "to", "mt")]
+    runs += [(kind, conditional) for kind in ("uac", "toc")]
+    for kind, each in runs:
+        for plan, goals, chosen in seeded_picks(kind, each, config, 3):
+            assert chosen == seeded_goal_brute(config, plan, goals), kind
 
 
 def test_problems_include_longer_solvable_ones():
