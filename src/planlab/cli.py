@@ -267,6 +267,8 @@ class ExperimentConfig:
                 )
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+        if not Path(self.output).name:
+            raise ValueError(f"output must name a file, not {self.output!r}")
 
 
 def _experiment_problems(cfg: ExperimentConfig) -> list[tuple[str, int, Problem]]:

@@ -10,17 +10,18 @@ in derivation order.  A plan without a parent checks that its labels are
 its positions, and ``extend`` keeps them so for every derived plan; only
 ``restrict``'s projections may lack the sentinels.
 
-A plan caches views of its order: its adjacency, one linearization (which
-also decides totality) and the transitive closure, one int per label whose
-bits are the labels after it (``before`` is a shift and a mask).  A child
-derives each from its parent's, when that is cached and the child's order
-contains the parent's, by adding only its new edges: the linearization
-when ``extend`` builds a child with a new step, the others when first
-asked for.  Any other plan computes the view afresh: its linearization by
-Kahn's sort (``topological_order``), and its closure along that
-linearization.  Only this module reads the cache or builds the closure;
-``with_steps`` hands a plan's order views to a plan that differs from it
-in its steps alone.
+A plan caches views of its order: its adjacency (one sorted neighbour
+tuple per label), one linearization (which also decides totality) and the
+transitive closure, one int per label whose bits are the labels after it
+(``before`` is a shift and a mask).  A child derives each from its
+parent's, when that is cached and the child's order contains the parent's,
+by adding only its new edges: the linearization when ``extend`` builds a
+child with a new step, the others when first asked for.  A ``restrict``
+projection gets its closure from the plan it projects.  Any other plan
+computes the view afresh: its linearization by Kahn's sort
+(``topological_order``), and its closure along that linearization.  Only
+this module reads the cache or builds the closure; ``with_steps`` hands a
+plan's order views to a plan that differs from it in its steps alone.
 
 Plans compare by identity, not by field value: two nodes of a search tree
 may carry structurally identical plans and must stay distinct.
@@ -197,16 +198,16 @@ class Plan:
         return self.parent is not None and view in self.parent.__dict__ and self.new_edges is not None
 
     @cached_property
-    def successors(self) -> dict[int, tuple[int, ...]]:
+    def successors(self) -> tuple[tuple[int, ...], ...]:
         if self._derives("successors"):
-            return grow_adjacency(self.parent.successors, self.labels, self.new_edges)
-        return grow_adjacency({}, self.labels, self.order)
+            return grow_adjacency(self.parent.successors, len(self.steps), self.new_edges)
+        return grow_adjacency((), len(self.steps), self.order)
 
     @cached_property
-    def predecessors(self) -> dict[int, tuple[int, ...]]:
+    def predecessors(self) -> tuple[tuple[int, ...], ...]:
         if self._derives("predecessors"):
-            return grow_adjacency(self.parent.predecessors, self.labels, ((b, a) for a, b in self.new_edges))
-        return grow_adjacency({}, self.labels, ((b, a) for a, b in self.order))
+            return grow_adjacency(self.parent.predecessors, len(self.steps), ((b, a) for a, b in self.new_edges))
+        return grow_adjacency((), len(self.steps), ((b, a) for a, b in self.order))
 
     @cached_property
     def linear_order(self) -> tuple[int, ...]:
@@ -353,17 +354,15 @@ def fresh_label(plan: Plan) -> int:
     return len(plan.steps)
 
 
-def grow_adjacency(adjacency: dict, labels: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict:
-    """`adjacency` (label -> sorted neighbour tuple) with an entry for every
-    label of `labels` and b added under a for each (a, b) of `edges`, none
-    of which it holds yet."""
-    out = dict(adjacency)
-    for lab in labels:
-        if lab not in out:
-            out[lab] = ()
+def grow_adjacency(adjacency: tuple, size: int, edges: Iterable[tuple[int, int]]) -> tuple:
+    """`adjacency` (one sorted neighbour tuple per label) padded with empty
+    tuples to `size` labels, with b added under a for each (a, b) of
+    `edges`, none of which it holds yet."""
+    out = list(adjacency)
+    out += [()] * (size - len(out))
     for a, b in edges:
         out[a] = tuple(sorted(out[a] + (b,)))
-    return out
+    return tuple(out)
 
 
 def with_steps(plan: Plan, steps: tuple[Step, ...]) -> Plan:
@@ -377,8 +376,8 @@ def with_steps(plan: Plan, steps: tuple[Step, ...]) -> Plan:
 
 def topological_order(plan: Plan) -> tuple[int, ...]:
     """Kahn's sort of the plan's labels, smallest ready label first."""
-    indeg = {lab: len(preds) for lab, preds in plan.predecessors.items()}
-    ready = [lab for lab, d in indeg.items() if d == 0]
+    indeg = [len(preds) for preds in plan.predecessors]
+    ready = [lab for lab, d in enumerate(indeg) if d == 0]
     heapq.heapify(ready)
     out: list[int] = []
     while ready:
@@ -400,32 +399,24 @@ def _check_size(plan: Plan, what: str) -> None:
 
 
 def linear_extensions(plan: Plan) -> list[tuple[int, ...]]:
-    """All label sequences consistent with the plan's partial order."""
+    """All label sequences consistent with the plan's partial order, built
+    from the end: of the labels still to place (the bitmask `left`), one can
+    come last exactly when ``after[lab] & left == 0``."""
     _check_size(plan, "linear extension enumeration")
-    indeg = {lab: len(plan.predecessors[lab]) for lab in plan.labels}
-    n = len(plan.labels)
+    after = plan.after
     out: list[tuple[int, ...]] = []
-    seq: list[int] = []
-    placed: set[int] = set()
 
-    def rec() -> None:
-        if len(seq) == n:
+    def rec(left: int, suffix: tuple[int, ...]) -> None:
+        if not left:
             if len(out) >= EXTENSION_CEILING:
                 raise PlanSizeError(f"linear extension enumeration exceeded {EXTENSION_CEILING} sequences")
-            out.append(tuple(seq))
+            out.append(suffix)
             return
-        for lab in sorted(l for l, d in indeg.items() if d == 0 and l not in placed):
-            placed.add(lab)
-            seq.append(lab)
-            for s in plan.successors[lab]:
-                indeg[s] -= 1
-            rec()
-            for s in plan.successors[lab]:
-                indeg[s] += 1
-            seq.pop()
-            placed.discard(lab)
+        for lab in range(left.bit_length()):
+            if left >> lab & 1 and not after[lab] & left:
+                rec(left ^ 1 << lab, (lab,) + suffix)
 
-    rec()
+    rec((1 << len(after)) - 1, ())
     return out
 
 
@@ -458,14 +449,18 @@ def is_linearization(total: Plan, plan: Plan) -> bool:
 def restrict(plan: Plan, labels: Iterable[int]) -> Plan:
     """The subplan on a label subset, relabelled by position: the subset's
     i-th smallest label becomes label i, and the order is the closure
-    restricted to the subset, read from `plan`'s rows.  Labels 0 and 1 are
-    the sentinels only when the subset keeps them."""
+    restricted to the subset, read from `plan`'s rows, which the projection
+    keeps as its own closure, so enumerating it builds no adjacency and sorts
+    nothing.  Labels 0 and 1 are the sentinels only when the subset keeps
+    them."""
     keep = sorted(set(labels))
     steps = tuple(
         Step(i, s.name, s.pre, s.adds, s.dels, s.cadds, s.cdels, s.marked)
         for i, s in enumerate(plan.steps[lab] for lab in keep)
     )
     after = plan.after
-    edges = frozenset((i, j) for i, a in enumerate(keep) for j, b in enumerate(keep) if after[a] >> b & 1)
-    return Plan(steps=steps, order=edges, parent=None, depth=0)
-
+    rows = tuple(sum(1 << j for j, b in enumerate(keep) if after[a] >> b & 1) for a in keep)
+    edges = frozenset((i, j) for i, row in enumerate(rows) for j in range(len(keep)) if row >> j & 1)
+    sub = Plan(steps=steps, order=edges, parent=None, depth=0)
+    sub.__dict__["after"] = rows
+    return sub

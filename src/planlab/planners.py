@@ -183,9 +183,7 @@ class LazyChildren(Sequence[Plan]):
     def __len__(self) -> int:
         return len(self._recipes)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+    def __getitem__(self, i: int) -> Plan:
         plans = self._plans
         if plans is None:
             return self._build(*self._recipes[i])
@@ -236,7 +234,7 @@ def _seeded_index(text: str, n: int) -> int:
     return random.Random(text).randrange(n)
 
 
-def _spread(marks: set[int], start: int, adj: dict[int, Sequence[int]]) -> int:
+def _spread(marks: set[int], start: int, adj: tuple[tuple[int, ...], ...]) -> int:
     """Mark `start` and everything reachable from it through `adj`; the
     cost is one visit per out-edge of every newly marked node."""
     cost = 0

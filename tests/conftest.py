@@ -17,8 +17,6 @@ from planlab.model import (
     make_op,
 )
 
-from helpers import closure_pairs
-
 
 def chain_plan(problem: Problem, op_names: list[str]) -> Plan:
     """A totally ordered plan running the named library operators in order.
@@ -48,13 +46,12 @@ def chain_plan(problem: Problem, op_names: list[str]) -> Plan:
 
 
 def brute_topological_orders(plan: Plan) -> list[tuple[int, ...]]:
-    """Independent oracle: filter all label permutations by edge respect."""
+    """Independent oracle: filter all label permutations by the plan's
+    direct edges, reading no cached view of its order."""
     out = []
-    lab_list = sorted(plan.labels)
-    closure = closure_pairs(plan)
-    for perm in itertools.permutations(lab_list):
+    for perm in itertools.permutations(plan.labels):
         pos = {lab: i for i, lab in enumerate(perm)}
-        if all(pos[a] < pos[b] for a, b in closure):
+        if all(pos[a] < pos[b] for a, b in plan.order):
             out.append(perm)
     return out
 

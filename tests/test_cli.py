@@ -527,6 +527,14 @@ class TestExperiment:
         assert capsys.readouterr() == ("", f"error: {key} must list at least one entry\n")
         assert not (tmp_path / "rows.csv").exists()
 
+    @pytest.mark.parametrize("raw", ["", "."])
+    def test_output_without_a_file_name_refused(self, tmp_path, monkeypatch, capsys, raw):
+        cfg = self.write_config(tmp_path, output=raw)
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", cfg]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: output must name a file, not {raw!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("frobnicate = 3\n")
@@ -581,3 +589,18 @@ class TestGenAndDump:
         assert code == EXIT_OK
         nodes = json.loads(capsys.readouterr().out)
         assert len(nodes) == 1 and nodes[0]["solution"]
+
+
+def test_a_misspelt_marker_fails_collection(tmp_path):
+    # Under the project's pytest settings a misspelt `acceptance` marker is
+    # an error, so a slow test cannot slip into `-m "not acceptance"`.
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "pyproject.toml").write_text((root / "pyproject.toml").read_text(encoding="utf-8"))
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_typo.py").write_text(
+        "import pytest\n\n\n@pytest.mark.acceptence\ndef test_slow():\n    pass\n"
+    )
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-m", "not acceptance"]
+    done = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode != 0
+    assert "'acceptence' not found in `markers`" in done.stdout

@@ -120,10 +120,28 @@ class TestLinearizations:
         assert len(linear_extensions(plan)) == 6
 
     def test_counts_match_brute_force(self):
+        # Random plans, their projections on random label subsets, and their
+        # projections on the middle steps alone, which keep no sentinel.
         rng = random.Random(7)
         for _ in range(25):
             plan = random_plan(rng)
-            assert len(linear_extensions(plan)) == len(brute_topological_orders(plan))
+            subset = [lab for lab in plan.labels if rng.random() < 0.6]
+            for p in (plan, restrict(plan, subset), restrict(plan, plan.middle_labels)):
+                seqs = linear_extensions(p)
+                assert len(set(seqs)) == len(seqs)
+                assert set(seqs) == set(brute_topological_orders(p))
+
+    def test_a_projection_is_enumerated_from_its_preset_rows(self, kahn_sorts):
+        rng = random.Random(3)
+        for _ in range(25):
+            plan = random_plan(rng)
+            plan.after
+            kahn_sorts.clear()
+            sub = restrict(plan, [lab for lab in plan.labels if rng.random() < 0.6])
+            linear_extensions(sub)
+            assert kahn_sorts == []
+            assert "successors" not in sub.__dict__ and "predecessors" not in sub.__dict__
+            assert sub.after == Plan(sub.steps, sub.order).after
 
     def test_linearizations_are_total_and_contain_original(self):
         plan = plan_of({(2, 3)})

@@ -604,8 +604,8 @@ class TestLazyChildren:
         child = result.children[1]
         assert len(built) == 1
         assert result.children[1] is child and len(built) == 1  # kept once built
-        assert list(result.children)[1] is child
-        assert result.children[1:3] == [child, result.children[2]]
+        listed = list(result.children)
+        assert listed[1] is child and listed[2] is result.children[2]
         assert len(built) == len(result.children)
 
     @pytest.mark.parametrize("kind", ["to", "ua"])
