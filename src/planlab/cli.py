@@ -76,12 +76,14 @@ def _load_problem(path: str) -> Problem:
 
 
 def _resolve_depth(problem: Problem, raw: str) -> int:
-    if raw == "auto":
-        length = minimal_solution_length(problem)
-        if length is None:
-            raise ValueError(f"problem {problem.name} is unsolvable; give an explicit depth limit")
-        return length
-    return int(raw)
+    return _auto_depth(problem, minimal_solution_length(problem)) if raw == "auto" else int(raw)
+
+
+def _auto_depth(problem: Problem, length: Optional[int]) -> int:
+    """The depth limit "auto" gives: the minimal solution length."""
+    if length is None:
+        raise ValueError(f"problem {problem.name} is unsolvable; give an explicit depth limit")
+    return length
 
 
 def _check_writable(path: Path) -> None:
@@ -271,11 +273,13 @@ class ExperimentConfig:
             raise ValueError(f"output must name a file, not {self.output!r}")
 
 
-def _experiment_problems(cfg: ExperimentConfig) -> list[tuple[str, int, Problem]]:
-    """Resolve the problem list to (problem_id, length_class, Problem)."""
+def _experiment_problems(cfg: ExperimentConfig) -> list[tuple[str, Optional[int], Problem]]:
+    """Resolve the problem list to (problem_id, minimal solution length or
+    None when unsolvable, Problem): a suite problem's length is its class,
+    a problem file's the oracle's answer."""
     import glob as globmod
 
-    out: list[tuple[str, int, Problem]] = []
+    out: list[tuple[str, Optional[int], Problem]] = []
     for spec in cfg.problems:
         if spec == "suite:standard":
             out.extend((problem.name, length, problem) for length, problem in standard_suite())
@@ -285,7 +289,7 @@ def _experiment_problems(cfg: ExperimentConfig) -> list[tuple[str, int, Problem]
             raise ValueError(f"no problem files match {spec!r}")
         for path in paths:
             problem = _load_problem(path)
-            out.append((problem.name, minimal_solution_length(problem) or 0, problem))
+            out.append((problem.name, minimal_solution_length(problem), problem))
     return out
 
 
@@ -293,8 +297,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """All result rows plus the per-cell summary table, in canonical order."""
     rows: list[dict] = []
     problems = _experiment_problems(cfg)
-    for problem_id, length_class, problem in sorted(problems, key=lambda t: t[0]):
-        depth = _resolve_depth(problem, cfg.depth_limit)
+    for problem_id, length, problem in sorted(problems, key=lambda t: t[0]):
+        depth = _auto_depth(problem, length) if cfg.depth_limit == "auto" else int(cfg.depth_limit)
         for planner_kind in cfg.planners:
             for strategy in cfg.strategies:
                 for heuristic in cfg.heuristics:
@@ -315,7 +319,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                         rows.append(
                             {
                                 "problem_id": problem_id,
-                                "length_class": length_class,
+                                "length_class": length or 0,
                                 "planner": planner_kind,
                                 "strategy": strategy,
                                 "heuristic": heuristic,

@@ -607,6 +607,11 @@ class ModalTruthPlanner(Planner):
         """Children extending `plan` by `new_step` (or no step) and `edges`
         plus one resolution of every threat to `o_add` establishing `c`."""
         out: list[tuple[Plan, int]] = []
+        # The steps are fixed within one call, so a child's closure and its
+        # handled threats decide everything below it.  `seen` drops a leaf
+        # met again; `met` stops at a threatened state met again, whose
+        # leaves are all in `seen` already.
+        met: set[tuple[tuple[int, ...], frozenset[int]]] = set()
 
         def branch(edge_set: frozenset, handled: frozenset[int], visits: int) -> None:
             child = extend(plan, new_step, edge_set)
@@ -627,6 +632,9 @@ class ModalTruthPlanner(Planner):
                     seen.add(key)
                     out.append((child, visits))
                 return
+            if (child.after, handled) in met:
+                return
+            met.add((child.after, handled))
             d = threats[0]
             if not before(d, needer):  # demotion stays acyclic
                 branch(edge_set | {(needer, d)}, handled | {d}, visits)

@@ -16,6 +16,9 @@ search over frozenset states, stepping with ``apply_operator``, and
 ``seeded_goal_brute`` is goal selection drawing from a fresh RNG on every
 call, with no memo and no shortcut for a lone goal; ``seeded_picks``
 records the goal choices a tree enumeration makes.
+``MemolessModalTruthPlanner`` is ``mt`` resolving threats without
+skipping a resolution state it has met, and ``extensions_by_goal`` lists
+a planner's children and costs for every open goal of a plan.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ from planlab.model import (
     Plan,
     Problem,
     _check_size,
+    extend,
     linear_extensions,
     restrict,
 )
 from planlab import oracle
 from planlab.oracle import OracleCeilingError, apply_operator, minimal_solution_length
-from planlab.planners import PlannerConfig, make_planner
+from planlab.planners import ModalTruthPlanner, PlannerConfig, _plan_key, make_planner
 from planlab.search import StrategyConfig, run_trials
 from planlab.trees import TreeCeilingError, enumerate_tree
 from planlab.truth import GoalEntry, ModalStatus, modal_status, modal_status_brute, precondition_entries
@@ -287,6 +291,54 @@ def minimal_solution_length_brute(problem: Problem) -> Optional[int]:
                 raise OracleCeilingError(f"state-space search exceeded {oracle.STATE_CEILING} states")
             queue.append((nxt, dist + 1))
     return None
+
+
+class MemolessModalTruthPlanner(ModalTruthPlanner):
+    """``mt`` resolving every branch of its threats, from states it has
+    already met too: the reference for ``ModalTruthPlanner``, which stops
+    at a state met again."""
+
+    def _resolve_threats(self, plan, new_step, edges, o_add, c, needer, seen):
+        out = []
+
+        def branch(edge_set, handled, visits):
+            child = extend(plan, new_step, edge_set)
+            before = child.before
+            visits += len(child.order)
+            threats = [
+                d
+                for d, st in enumerate(child.steps)
+                if c in st.dels
+                and d not in (o_add, needer)
+                and d not in handled
+                and not before(d, o_add)
+                and not before(needer, d)
+            ]
+            if not threats:
+                key = _plan_key(child)
+                if key not in seen:
+                    seen.add(key)
+                    out.append((child, visits))
+                return
+            d = threats[0]
+            if not before(d, needer):
+                branch(edge_set | {(needer, d)}, handled | {d}, visits)
+            for k, st in enumerate(child.steps):
+                if k in (d, needer) or c not in st.adds:
+                    continue
+                if before(k, d) or before(needer, k):
+                    continue
+                branch(edge_set | {(d, k), (k, needer)}, handled | {d}, visits)
+
+        branch(edges, frozenset(), 0)
+        return out
+
+
+def extensions_by_goal(planner, plan: Plan) -> list:
+    """For every open goal of `plan`, the (steps, order) of each child
+    `planner` gives and their costs."""
+    results = (planner._extensions(plan, goal) for goal in planner.goal_set(plan))
+    return [([(child.steps, child.order) for child in r.children], r.costs) for r in results]
 
 
 def seeded_goal_brute(config: PlannerConfig, plan: Plan, goals: tuple[GoalEntry, ...]) -> GoalEntry:

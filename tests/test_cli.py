@@ -535,6 +535,37 @@ class TestExperiment:
         assert capsys.readouterr() == ("", f"error: output must name a file, not {raw!r}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
+    def test_auto_depth_searches_once_per_problem_file(self, tmp_path, monkeypatch):
+        problems = [d1s1_problem(goals) for goals in ((2, 3), (5,), (1, 2, 4))] + [fixture("sussman")]
+        for k, problem in enumerate(problems):
+            (tmp_path / f"{k}.plan").write_text(serialize_problem(problem), encoding="utf-8")
+        calls = []
+
+        def spy(problem):
+            calls.append(problem.name)
+            return oracle.minimal_solution_length(problem)
+
+        monkeypatch.setattr(cli, "minimal_solution_length", spy)
+        cfg = self.write_config(tmp_path, problems=tmp_path / "*.plan", trials=1)
+        rows, _ = run_experiment(ExperimentConfig.load(cfg))
+        assert sorted(calls) == sorted(p.name for p in problems)
+        lengths = {p.name: oracle.minimal_solution_length(p) for p in problems}
+        assert len(rows) == 2 * len(problems)
+        for row in rows:
+            assert row["depth_limit"] == row["length_class"] == lengths[row["problem_id"]]
+
+    def test_the_first_unsolvable_problem_by_name_is_refused(self, tmp_path, capsys):
+        stuck = "problem {}\ninit: a\ngoal: g\noperator n\n  pre: a\n  add: x\nend\n"
+        texts = [stuck.format("zz_stuck"), stuck.format("bb_stuck"), serialize_problem(d1s1_problem([1]))]
+        for k, text in enumerate(texts):
+            (tmp_path / f"{k}.plan").write_text(text, encoding="utf-8")
+        cfg = self.write_config(tmp_path, problems=tmp_path / "*.plan", trials=1)
+        assert main(["experiment", cfg]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("\nerror: problem bb_stuck is unsolvable; give an explicit depth limit\n")
+        assert err.count("error:") == 1
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("frobnicate = 3\n")

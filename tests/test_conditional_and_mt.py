@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from planlab.domains import fixture
+from planlab import planners
+from planlab.domains import fixture, fixture_names
 from planlab.model import Problem, make_op
 from planlab.planners import make_planner
 from planlab.trees import enumerate_tree, sibling_overlap_violations
 
-from helpers import is_unambiguous_brute
+from helpers import MemolessModalTruthPlanner, extensions_by_goal, is_unambiguous_brute
 
 
 def find_node(tree, middle_names):
@@ -173,3 +176,31 @@ class TestModalTruthPlanner:
         planner = make_planner("mt", prob)
         result = planner.children(planner.root())
         assert len(result.children) == 1
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_children_are_the_memo_less_resolutions_on_the_fixtures(self, name):
+        problem = fixture(name)
+        planner, reference = make_planner("mt", problem), MemolessModalTruthPlanner(problem)
+        for node in enumerate_tree(planner, 5).nodes:
+            if node.goals:
+                assert extensions_by_goal(planner, node.plan) == extensions_by_goal(reference, node.plan)
+
+    def test_a_deep_sussman_extension_builds_each_resolution_state_once(self, monkeypatch):
+        # A seeded dive to a 25-step plan, whose first open goal has 407
+        # children; resolving its threats without the memo builds 27,349.
+        problem = fixture("sussman")
+        planner, rng = make_planner("mt", problem), random.Random(0)
+        plan = planner.root()
+        for _ in range(23):
+            children = planner.children(plan).children
+            plan = children[rng.randrange(len(children))]
+        built = []
+        extend = planners.extend
+        monkeypatch.setattr(planners, "extend", lambda *args: built.append(args) or extend(*args))
+        result = planner.children(plan)
+        assert (len(plan.steps), len(result.children)) == (25, 407)
+        assert len(built) <= 2_000
+        monkeypatch.undo()
+        reference = MemolessModalTruthPlanner(problem).children(plan)
+        assert [(c.steps, c.order) for c in result.children] == [(c.steps, c.order) for c in reference.children]
+        assert result.costs == reference.costs

@@ -7,16 +7,35 @@ mentions, empty libraries, goals true at the start), check that it gives
 the frozenset search's length on every chain subset of up to three goals,
 the 44 suite problems and every fixture, and that both searches refuse
 at the same state ceiling.
+
+Problems with one initial state and library share one reach, the search
+the last query left.  These tests interleave chain, suite and fixture
+queries, query a chain problem parsed from text (an equal library that
+is another object), change the ceiling up and down on one reach, down to
+0, query a goal nothing mentions on a populated reach, and check that a
+query on a fresh reach meets no state the frozenset search would not and
+that a search cut short by an exception is not resumed; every answer and
+refusal is the frozenset search's.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 
 from planlab import oracle
-from planlab.domains import CHAIN_SIZE, d1s1_problem, fixture, fixture_names, standard_suite
+from planlab.domains import (
+    CHAIN_SIZE,
+    d1s1_problem,
+    fixture,
+    fixture_names,
+    parse_problem,
+    serialize_problem,
+    standard_suite,
+)
 from planlab.model import Problem, cond, make_op
 from planlab.oracle import OracleCeilingError, apply_operator, minimal_solution_length
 
@@ -123,3 +142,110 @@ def test_both_searches_refuse_at_the_same_state_ceiling(name, monkeypatch):
         assert outcome == _outcome(minimal_solution_length_brute, problem), ceiling
         outcomes.add(outcome)
     assert "refused" in outcomes and len(outcomes) == 2
+
+
+# -- one reach per initial state and library ------------------------------
+
+
+def _fresh(monkeypatch):
+    monkeypatch.setattr(oracle, "_last", None)
+
+
+def test_interleaved_chain_suite_and_fixture_queries(monkeypatch):
+    _fresh(monkeypatch)
+    rng = random.Random(0)
+    corpus = _corpus()
+    queries = rng.sample(corpus, 200) + rng.sample(corpus[:575], 50)
+    rng.shuffle(queries)
+    for problem in queries:
+        assert minimal_solution_length(problem) == minimal_solution_length_brute(problem), problem.name
+
+
+def test_chain_problems_share_one_search(monkeypatch):
+    _fresh(monkeypatch)
+    chain = d1s1_problem([2, 4])
+    assert minimal_solution_length(chain) == minimal_solution_length_brute(chain)
+    reach = oracle._last
+    parsed = parse_problem(serialize_problem(d1s1_problem([1, 3, 5])))
+    assert parsed.library == chain.library and parsed.library is not chain.library
+    assert minimal_solution_length(parsed) == minimal_solution_length_brute(parsed)
+    assert oracle._last is reach
+    assert minimal_solution_length(fixture("sussman")) == 3
+    assert oracle._last is not reach
+
+
+def test_a_fresh_query_meets_no_state_past_its_answer(monkeypatch):
+    # The brute search answers exactly when the ceiling admits every state
+    # it met before the goal state, so the least ceiling it answers under
+    # counts those states; the reach holds them and the goal state.
+    problems = [fixture(n) for n in fixture_names()] + [d1s1_problem(g) for g in ([1], [2, 3], [4, 6, 7])]
+    for problem in problems:
+        _fresh(monkeypatch)
+        length = minimal_solution_length(problem)
+        if not length:
+            continue
+        met = len(oracle._last.met)
+        assert oracle._last.met[-1][1] == length
+        monkeypatch.setattr(oracle, "STATE_CEILING", met - 1)
+        assert minimal_solution_length_brute(problem) == length, problem.name
+        if met > 2:
+            monkeypatch.setattr(oracle, "STATE_CEILING", met - 2)
+            assert _outcome(minimal_solution_length_brute, problem) == "refused", problem.name
+        monkeypatch.setattr(oracle, "STATE_CEILING", 200_000)
+
+
+def test_one_reach_answers_as_the_ceiling_rises_and_falls(monkeypatch):
+    _fresh(monkeypatch)
+    problem = fixture("sussman")
+    other = replace(problem, goals=frozenset({"on_c_b", "on_b_a"}))
+    outcomes, reach = [], None
+    for ceiling in (20, 3, 20, 2, 40, 1, 20):
+        monkeypatch.setattr(oracle, "STATE_CEILING", ceiling)
+        for each in (problem, other):
+            outcome = _outcome(minimal_solution_length, each)
+            assert outcome == _outcome(minimal_solution_length_brute, each), (ceiling, each.goals)
+            outcomes.append(outcome)
+        reach = reach or oracle._last
+        assert oracle._last is reach
+    assert "refused" in outcomes and 3 in outcomes
+
+
+def test_a_zero_ceiling_admits_the_start_and_the_first_state_met(monkeypatch):
+    one_step = _problem({"p"}, {"q"}, make_op("o", pre={"p"}, adds={"q"}))
+    dead_end = _problem({"p"}, {"g"}, make_op("o", pre={"p"}, adds={"q"}))
+    problems = [one_step, dead_end, _problem({"p"}, {"g"}), _problem({"p"}, {"p"})]
+    problems += [fixture("sussman"), d1s1_problem([1]), d1s1_problem([2])]
+    monkeypatch.setattr(oracle, "STATE_CEILING", 0)
+    for fresh in (True, False):
+        for problem in problems:
+            if fresh:
+                _fresh(monkeypatch)
+            assert _outcome(minimal_solution_length, problem) == _outcome(minimal_solution_length_brute, problem)
+    assert [_outcome(minimal_solution_length, p) for p in problems] == [1, "refused", None, 0, "refused", 1, "refused"]
+
+
+def test_a_goal_nothing_mentions_on_a_populated_reach(monkeypatch):
+    _fresh(monkeypatch)
+    assert minimal_solution_length(d1s1_problem(range(1, CHAIN_SIZE + 1))) == CHAIN_SIZE
+    nowhere = replace(d1s1_problem([1]), goals=frozenset({"g1", "nowhere"}))
+    for ceiling in (200_000, 100):
+        monkeypatch.setattr(oracle, "STATE_CEILING", ceiling)
+        assert _outcome(minimal_solution_length, nowhere) == _outcome(minimal_solution_length_brute, nowhere)
+    assert _outcome(minimal_solution_length, nowhere) == "refused"
+    monkeypatch.setattr(oracle, "STATE_CEILING", 200_000)
+    assert minimal_solution_length(nowhere) is None
+
+
+def test_a_search_cut_short_is_not_resumed(monkeypatch):
+    _fresh(monkeypatch)
+    assert minimal_solution_length(d1s1_problem([1])) == 1
+
+    def interrupted():
+        raise KeyboardInterrupt
+        yield
+
+    oracle._last.grow = interrupted()
+    deeper = d1s1_problem([2, 3])
+    with pytest.raises(KeyboardInterrupt):
+        minimal_solution_length(deeper)
+    assert minimal_solution_length(deeper) == minimal_solution_length_brute(deeper)

@@ -12,6 +12,9 @@ minimal length is at most 3, and at that length (completeness); that
 oracle's bitmask search gives the same length as a breadth-first search
 over frozenset states, on these problems and the conditional ones.  Every
 ``mt`` node's goals are checked against the all-linearizations oracle,
+every ``mt`` extension against the memo-less threat resolution of
+``helpers.MemolessModalTruthPlanner`` (the same children, orders and
+costs, for every open goal),
 and every ``to``, ``ua`` and ``mt`` node's ``is_solution`` against its
 goal set, with the goal set cached and without.  Every ``to``, ``ua``
 and ``mt`` solution is sound: each of its linearizations runs from the
@@ -69,7 +72,9 @@ from planlab.truth import (
 )
 
 from helpers import (
+    MemolessModalTruthPlanner,
     closure_pairs,
+    extensions_by_goal,
     is_linearization_brute,
     is_unambiguous_brute,
     minimal_solution_length_brute,
@@ -258,6 +263,16 @@ def test_every_mt_goal_set_is_the_brute_not_necessarily_true_entries(problem, de
             for e in precondition_entries(plan)
             if modal_status_brute(plan, e.needer, e.condition) is not ModalStatus.NECESSARILY_TRUE
         ), node.id
+
+
+@EXAMPLES
+@given(problem=problems(), depth=st.sampled_from((3, 2, 1)))
+@example(problem=TWO_INTERACTING, depth=3)
+def test_mt_children_are_the_memo_less_resolutions(problem, depth):
+    planner, reference = make_planner("mt", problem), MemolessModalTruthPlanner(problem)
+    for node in enumerate_tree(planner, depth).nodes:
+        if node.goals:
+            assert extensions_by_goal(planner, node.plan) == extensions_by_goal(reference, node.plan), node.id
 
 
 def _check_is_solution(kind: str, problem: Problem, depth: int) -> None:
