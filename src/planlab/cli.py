@@ -236,7 +236,10 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
+        """Read `key = value` lines; the keys are the fields, and each value
+        is read as its default is: a comma list, an int or text."""
         cfg = cls()
+        kinds = {key: type(value) for key, value in vars(cfg).items()}
         for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -244,21 +247,25 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in ("problems", "planners", "strategies", "heuristics"):
-                setattr(cfg, key, [v.strip() for v in value.split(",") if v.strip()])
-            elif key in ("trials", "base_seed", "max_iterations"):
-                setattr(cfg, key, int(value))
-            elif key in ("depth_limit", "output", "format"):
-                setattr(cfg, key, value)
-            else:
+            if key not in kinds:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if kinds[key] is list:
+                value = [v.strip() for v in value.split(",") if v.strip()]
+            elif kinds[key] is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {key} must be an integer, not {value!r}") from None
+            setattr(cfg, key, value)
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        for key in ("problems", "planners", "strategies", "heuristics"):
-            if not getattr(self, key):
+        for key, entries in vars(self).items():
+            if isinstance(entries, list) and not entries:
                 raise ValueError(f"{key} must list at least one entry")
+            if isinstance(entries, list) and len(set(entries)) < len(entries):
+                raise ValueError(f"{key} lists {max(entries, key=entries.count)!r} more than once")
         for p in self.planners:
             if p not in PLANNERS:
                 raise ValueError(f"unknown planner {p!r}")
@@ -273,23 +280,30 @@ class ExperimentConfig:
             raise ValueError(f"output must name a file, not {self.output!r}")
 
 
-def _experiment_problems(cfg: ExperimentConfig) -> list[tuple[str, Optional[int], Problem]]:
-    """Resolve the problem list to (problem_id, minimal solution length or
-    None when unsolvable, Problem): a suite problem's length is its class,
-    a problem file's the oracle's answer."""
+def _experiment_problems(cfg: ExperimentConfig) -> dict[str, tuple[str, Optional[int], Problem]]:
+    """Resolve the problem list to problem_id -> (source, minimal solution
+    length or None when unsolvable, Problem), refusing one id from two sources:
+    a suite problem's length is its class, a problem file's the oracle's answer."""
     import glob as globmod
 
-    out: list[tuple[str, Optional[int], Problem]] = []
+    out: dict[str, tuple[str, Optional[int], Problem]] = {}
+
+    def keep(source: str, length: Optional[int], problem: Problem) -> None:
+        if problem.name in out:
+            raise ValueError(f"problem id {problem.name!r} comes from both {out[problem.name][0]} and {source}")
+        out[problem.name] = (source, length, problem)
+
     for spec in cfg.problems:
         if spec == "suite:standard":
-            out.extend((problem.name, length, problem) for length, problem in standard_suite())
+            for length, problem in standard_suite():
+                keep(spec, length, problem)
             continue
         paths = [spec] if spec.startswith("fixture:") else sorted(globmod.glob(spec))
         if not paths:
             raise ValueError(f"no problem files match {spec!r}")
         for path in paths:
             problem = _load_problem(path)
-            out.append((problem.name, minimal_solution_length(problem), problem))
+            keep(path, minimal_solution_length(problem), problem)
     return out
 
 
@@ -297,11 +311,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """All result rows plus the per-cell summary table, in canonical order."""
     rows: list[dict] = []
     problems = _experiment_problems(cfg)
-    for problem_id, length, problem in sorted(problems, key=lambda t: t[0]):
+    for problem_id in sorted(problems):
+        _, length, problem = problems[problem_id]
         depth = _auto_depth(problem, length) if cfg.depth_limit == "auto" else int(cfg.depth_limit)
-        for planner_kind in cfg.planners:
-            for strategy in cfg.strategies:
-                for heuristic in cfg.heuristics:
+        for planner_kind in sorted(cfg.planners):
+            for strategy in sorted(cfg.strategies):
+                for heuristic in sorted(cfg.heuristics):
                     outcomes = run_trials(
                         lambda seed: make_planner(
                             planner_kind, problem, PlannerConfig(goal_selection="seeded", seed=seed)
@@ -334,15 +349,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
                                 "wall_ms": round(outcome.wall_time * 1000, 3),
                             }
                         )
-    rows.sort(
-        key=lambda r: (
-            r["problem_id"],
-            r["planner"],
-            r["strategy"],
-            r["heuristic"],
-            r["trial"],
-        )
-    )
     return rows, summarize_experiment(rows)
 
 

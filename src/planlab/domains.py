@@ -311,139 +311,108 @@ class ParseError(ValueError):
         self.col = col
 
 
-def _strip_comment(text: str) -> str:
-    i = text.find("#")
-    return text if i < 0 else text[:i]
-
-
 def _check_prop(tok: str, lineno: int, col: int) -> str:
     if not _PROP_RE.match(tok):
-        raise ParseError(
-            f"invalid proposition {tok!r} (expected [a-z][a-z0-9_]*)", lineno, col
-        )
+        raise ParseError(f"invalid proposition {tok!r} (expected [a-z][a-z0-9_]*)", lineno, col)
     return tok
 
 
-def _parse_cond_effects(rest: str, lineno: int, base_col: int) -> list[CondEffect]:
+def _props(rest: str, lineno: int, col: int) -> list[str]:
+    return [_check_prop(tok, lineno, col) for tok in rest.split()]
+
+
+def _cond_effects(rest: str, lineno: int, col: int) -> list[CondEffect]:
     """Parse `(p [& q]* -> r)` groups."""
     out = []
-    pos = 0
+    pos = len(rest) - len(rest.lstrip())
     while pos < len(rest):
-        while pos < len(rest) and rest[pos].isspace():
-            pos += 1
-        if pos >= len(rest):
-            break
+        at, close = col + pos + 1, rest.find(")", pos)
         if rest[pos] != "(":
-            raise ParseError("expected '('", lineno, base_col + pos + 1)
-        close = rest.find(")", pos)
+            raise ParseError("expected '('", lineno, at)
         if close < 0:
-            raise ParseError("unterminated conditional effect", lineno, base_col + pos + 1)
-        body = rest[pos + 1 : close]
-        if "->" not in body:
-            raise ParseError("expected '->' in conditional effect", lineno, base_col + pos + 1)
-        deps_text, effect_text = body.split("->", 1)
-        deps = [d.strip() for d in deps_text.split("&")]
-        effect = effect_text.strip()
-        if any(not d for d in deps) or not effect:
-            raise ParseError("malformed conditional effect", lineno, base_col + pos + 1)
-        for d in deps:
-            _check_prop(d, lineno, base_col + pos + 1)
-        _check_prop(effect, lineno, base_col + pos + 1)
-        out.append(CondEffect(frozenset(deps), effect))
-        pos = close + 1
+            raise ParseError("unterminated conditional effect", lineno, at)
+        deps, arrow, effect = rest[pos + 1 : close].partition("->")
+        if not arrow:
+            raise ParseError("expected '->' in conditional effect", lineno, at)
+        deps, effect = [d.strip() for d in deps.split("&")], effect.strip()
+        if not all(deps) or not effect:
+            raise ParseError("malformed conditional effect", lineno, at)
+        deps = frozenset(_check_prop(d, lineno, at) for d in deps)
+        out.append(CondEffect(deps, _check_prop(effect, lineno, at)))
+        pos = len(rest) - len(rest[close + 1 :].lstrip())
     return out
 
 
+#: Each section: whether it belongs inside an operator block, and how its
+#: tokens are read.  An operator's sections are `make_op`'s arguments, in order.
+_SECTIONS = {
+    "init": (False, _props),
+    "goal": (False, _props),
+    "pre": (True, _props),
+    "add": (True, _props),
+    "del": (True, _props),
+    "cadd": (True, _cond_effects),
+    "cdel": (True, _cond_effects),
+}
+
+
 def parse_problem(text: str) -> Problem:
-    """Parse the line-oriented problem format; see `serialize_problem`."""
+    """Parse the line-oriented problem format; see `serialize_problem`.
+
+    A line's kind is decided once, by exact lookup: its first word if that
+    is ``problem`` or ``operator``, the whole line if it is ``end``, and
+    otherwise the key before its first ``:`` in `_SECTIONS`.
+    """
     lines = text.splitlines()
-    name = None
-    init: set[str] = set()
-    goals: set[str] = set()
-    ops: list[OperatorSchema] = []
-    cur: Optional[dict] = None
-    saw_init = saw_goal = False
-
-    def finish_operator(lineno: int) -> None:
-        nonlocal cur
-        assert cur is not None
-        try:
-            ops.append(
-                make_op(cur["name"], cur["pre"], cur["add"], cur["del"], cur["cadd"], cur["cdel"])
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        cur = None
-
+    name, top, ops = None, {}, []
+    op_name, block = None, None  # the open operator block's name and sections
     for lineno, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         indent = len(raw) - len(raw.lstrip())
-        if line.startswith("problem"):
-            parts = line.split()
-            if len(parts) != 2:
+        words = line.split()
+        if words[0] == "problem":
+            if len(words) != 2:
                 raise ParseError("expected 'problem <name>'", lineno)
             if name is not None:
                 raise ParseError("duplicate 'problem' line", lineno)
-            name = _check_prop(parts[1], lineno, indent + len("problem ") + 1)
-        elif line.startswith("operator"):
-            if cur is not None:
+            name = _check_prop(words[1], lineno, indent + len("problem ") + 1)
+            if block is not None:
+                raise ParseError("'problem' line inside an operator block", lineno)
+        elif words[0] == "operator":
+            if block is not None:
                 raise ParseError("operator block not closed with 'end'", lineno)
-            parts = line.split()
-            if len(parts) != 2:
+            if len(words) != 2:
                 raise ParseError("expected 'operator <name>'", lineno)
-            cur = {
-                "name": _check_prop(parts[1], lineno, indent + len("operator ") + 1),
-                "pre": [],
-                "add": [],
-                "del": [],
-                "cadd": [],
-                "cdel": [],
-            }
+            op_name = _check_prop(words[1], lineno, indent + len("operator ") + 1)
+            block = {key: [] for key, (inside, _) in _SECTIONS.items() if inside}
         elif line == "end":
-            if cur is None:
+            if block is None:
                 raise ParseError("'end' outside an operator block", lineno)
-            finish_operator(lineno)
+            try:
+                ops.append(make_op(op_name, *block.values()))
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            block = None
         elif ":" in line:
             key, rest = line.split(":", 1)
             key = key.strip()
-            col = indent + len(key) + 2
-            if key in ("init", "goal"):
-                if cur is not None:
-                    raise ParseError(f"{key!r} section inside an operator block", lineno)
-                props = [_check_prop(t, lineno, col) for t in rest.split()]
-                if key == "init":
-                    init.update(props)
-                    saw_init = True
-                else:
-                    goals.update(props)
-                    saw_goal = True
-            elif key in ("pre", "add", "del"):
-                if cur is None:
-                    raise ParseError(f"{key!r} section outside an operator block", lineno)
-                cur[key].extend(_check_prop(t, lineno, col) for t in rest.split())
-            elif key in ("cadd", "cdel"):
-                if cur is None:
-                    raise ParseError(f"{key!r} section outside an operator block", lineno)
-                cur[key].extend(_parse_cond_effects(rest, lineno, col))
-            else:
+            if key not in _SECTIONS:
                 raise ParseError(f"unknown section {key!r}", lineno)
+            inside, read = _SECTIONS[key]
+            if inside != (block is not None):
+                raise ParseError(f"{key!r} section {'outside' if inside else 'inside'} an operator block", lineno)
+            (block if inside else top).setdefault(key, []).extend(read(rest, lineno, indent + len(key) + 2))
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
-
-    if cur is not None:
+    if block is not None:
         raise ParseError("operator block not closed with 'end'", len(lines) or 1)
     if name is None:
         raise ParseError("missing 'problem <name>' line", 1)
-    if not saw_init or not saw_goal:
+    if "init" not in top or "goal" not in top:
         raise ParseError("missing 'init:' or 'goal:' section", len(lines) or 1)
-    return Problem(
-        name=name,
-        init=frozenset(init),
-        goals=frozenset(goals),
-        library=tuple(ops),
-    )
+    return Problem(name, frozenset(top["init"]), frozenset(top["goal"]), tuple(ops))
 
 
 def serialize_problem(problem: Problem) -> str:
@@ -516,11 +485,9 @@ SUITE_ENTRIES: tuple[tuple[int, int, int], ...] = (
     (4, 4, 882),
 )
 
-def suite_problem(entry: tuple[int, int, int]) -> Problem:
-    _, n_blocks, seed = entry
-    return blocksworld_problem(BlocksworldSpec(n_blocks=n_blocks, seed=seed))
-
-
 def standard_suite() -> list[tuple[int, Problem]]:
     """The committed 44-problem suite as (length_class, problem) pairs."""
-    return [(entry[0], suite_problem(entry)) for entry in SUITE_ENTRIES]
+    return [
+        (length, blocksworld_problem(BlocksworldSpec(n_blocks=n_blocks, seed=seed)))
+        for length, n_blocks, seed in SUITE_ENTRIES
+    ]

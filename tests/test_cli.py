@@ -566,6 +566,56 @@ class TestExperiment:
         assert err.count("error:") == 1
         assert not (tmp_path / "rows.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, entry",
+        [
+            ("problems", "fixture:fig9, fixture:fig2, fixture:fig9", "fixture:fig9"),
+            ("planners", "to,ua,to", "to"),
+            ("strategies", "dfs,dfs", "dfs"),
+            ("heuristics", "none, none", "none"),
+        ],
+    )
+    def test_a_repeated_entry_is_refused(self, tmp_path, capsys, key, value, entry):
+        cfg = self.write_config(tmp_path, **{key: value})
+        assert main(["experiment", cfg]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {key} lists {entry!r} more than once\n")
+        assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize("with_fixture", [False, True])
+    def test_one_problem_id_from_two_sources_is_refused(self, tmp_path, capsys, with_fixture):
+        paths = [tmp_path / copy / "fig9.plan" for copy in ("dup_a", "dup_b")]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text(serialize_problem(fixture("fig9")), encoding="utf-8")
+        if with_fixture:
+            problems, sources = f"fixture:fig9, {paths[0]}", ("fixture:fig9", paths[0])
+        else:
+            problems, sources = tmp_path / "dup*" / "fig9.plan", paths
+        cfg = self.write_config(tmp_path, problems=problems, trials=2)
+        assert main(["experiment", cfg]) == EXIT_USAGE
+        message = f"error: problem id 'fig9' comes from both {sources[0]} and {sources[1]}\n"
+        assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize("key, raw", [("trials", "abc"), ("base_seed", "1.5"), ("max_iterations", "")])
+    def test_a_non_integer_value_is_refused_with_its_line(self, tmp_path, capsys, key, raw):
+        cfg = self.write_config(tmp_path, **{key: raw})
+        lineno = 1 + [line.split(" = ")[0] for line in Path(cfg).read_text().splitlines()].index(key)
+        assert main(["experiment", cfg]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {cfg}:{lineno}: {key} must be an integer, not {raw!r}\n")
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_rows_come_in_canonical_order_whatever_the_list_order(self, tmp_path):
+        def rows_for(planners, strategies):
+            cfg = self.write_config(tmp_path, planners=planners, strategies=strategies, trials=2)
+            rows, summary = run_experiment(ExperimentConfig.load(cfg))
+            return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows], summary
+
+        rows, summary = rows_for("ua,to", "ibroad,dfs")
+        assert (rows, summary) == rows_for("to,ua", "dfs,ibroad")
+        keys = [(r["problem_id"], r["planner"], r["strategy"], r["heuristic"], r["trial"]) for r in rows]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys) == 2 * 2 * 2
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("frobnicate = 3\n")

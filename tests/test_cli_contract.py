@@ -1,19 +1,24 @@
 """The command-line contract on generated inputs.
 
-Every run of ``planlab solve``, ``verify`` or ``dump-tree`` must end in a
-documented exit: 0 or 1 with no ``error:`` line, or 2 (usage, parse or file
-error) or 3 (a ceiling) with exactly one ``error:`` line, and never with an
-escaping exception.  Hypothesis drives ``cli.main`` in-process over problem
-files made from valid problems by truncating them, injecting bytes that are
-not UTF-8, or inserting lines: unknown sections and lines that each break
-one rule of the problem format.  The examples are derandomized, so every
-run checks the same inputs.
+Every run of ``planlab solve``, ``verify``, ``dump-tree`` or ``experiment``
+must end in a documented exit: 0 or 1 with no ``error:`` line, or 2 (usage,
+parse or file error) or 3 (a ceiling) with exactly one ``error:`` line, and
+never with an escaping exception.  Hypothesis drives ``cli.main`` in-process
+over problem files made from valid problems by truncating them, injecting
+bytes that are not UTF-8, or inserting lines: unknown sections and lines
+that each break one rule of the problem format.  Experiment configs are
+made from small valid ones by dropping, repeating or misspelling keys,
+truncating values, giving an integer key a value that is not one, or
+repeating a list entry.  The examples are derandomized, so every run checks
+the same inputs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -163,3 +168,73 @@ def test_each_format_error_is_refused_with_its_position(problem_path, text):
     assert code == 2
     assert_documented_exit(code, err)
     assert err.startswith("error: line "), err
+
+
+# The list keys of an experiment config and the entries a small run draws.
+CONFIG_LISTS = {
+    "problems": ("fixture:fig9", "fixture:fig2"),
+    "planners": tuple(sorted(PLANNERS)),
+    "strategies": STRATEGIES,
+    "heuristics": ("none", "min_goals_rank"),
+}
+CONFIG_INTS = ("trials", "base_seed", "max_iterations")
+# Keys a damaged config may lose.  The defaults of the others would run the
+# 44-problem suite, 25 trials or 100,000 iterations, or write to the working
+# directory.
+CONFIG_DROPPABLE = ("planners", "strategies", "heuristics", "base_seed", "depth_limit", "format")
+
+
+@st.composite
+def experiment_configs(draw) -> list[tuple[str, str]]:
+    """The (key, value) lines of a small experiment config, kept whole or
+    damaged.  The output value is a file name the test puts in a directory
+    of its own."""
+    lines = [
+        (key, ",".join(draw(st.lists(st.sampled_from(entries), min_size=1, max_size=2, unique=True))))
+        for key, entries in CONFIG_LISTS.items()
+    ]
+    lines += [
+        ("trials", draw(st.sampled_from(("1", "2")))),
+        ("base_seed", str(draw(st.integers(0, 9)))),
+        ("depth_limit", draw(st.sampled_from(("auto", "-1", "0", "1", "2", "3")))),
+        ("max_iterations", str(draw(st.integers(1, 30)))),
+        ("output", "rows.csv"),
+        ("format", draw(st.sampled_from(("csv", "json")))),
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        key, value = lines[at]
+        damage = draw(st.sampled_from(("drop", "repeat", "misspell", "truncate", "not-int", "list-repeat")))
+        if damage == "drop" and key in CONFIG_DROPPABLE:
+            del lines[at]
+        elif damage == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), (key, value))
+        elif damage == "misspell":
+            lines[at] = (draw(st.sampled_from((key[:-1], key + "s", key.capitalize()))), value)
+        elif damage == "truncate":
+            lines[at] = (key, value[: draw(st.integers(0, max(len(value) - 1, 0)))])
+        elif damage == "not-int" and key in CONFIG_INTS:
+            lines[at] = (key, draw(st.sampled_from(("abc", "1.5", "2x", "", "0x10"))))
+        elif damage == "list-repeat" and key in CONFIG_LISTS:
+            lines[at] = (key, f"{value},{value.split(',')[0]}")
+    return lines
+
+
+@pytest.fixture(scope="module")
+def experiment_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("experiment")
+
+
+@EXAMPLES
+@given(lines=experiment_configs())
+def test_every_experiment_config_ends_in_a_documented_exit(experiment_root, lines):
+    out_dir = Path(tempfile.mkdtemp(dir=experiment_root))
+    config = out_dir / "exp.cfg"
+    config.write_text(
+        "".join(f"{key} = {out_dir / value if key == 'output' else value}\n" for key, value in lines),
+        encoding="utf-8",
+    )
+    code, err = run_cli(["experiment", str(config)])
+    assert_documented_exit(code, err)
+    written = [path.name for path in out_dir.iterdir() if path != config]
+    assert len(written) == (2 if code == 0 else 0), (code, err, written)

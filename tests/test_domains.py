@@ -4,6 +4,8 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planlab.domains import (
     CHAIN_SIZE,
@@ -16,11 +18,15 @@ from planlab.domains import (
     fixture_names,
     parse_problem,
     serialize_problem,
+    standard_suite,
 )
 from planlab.model import CondEffect, Problem, make_op
 from planlab.oracle import minimal_solution_length
 from planlab.planners import make_planner
 from planlab.search import StrategyConfig, bfs
+
+from test_cli_contract import BREAKING_LINES, FIG9, UNKNOWN_SECTIONS, _fig9_with
+from test_properties import conditional_problems, problems
 
 
 class TestBlocksworld:
@@ -182,6 +188,71 @@ class TestFixtures:
                 op.validate()
 
 
+# (line, inserted inside fig9's last operator block?, (message, line, col)):
+# each line the CLI contract test inserts breaks one rule of the format.
+FIG9_BREAKS = (
+    ("problem a b", False, ("expected 'problem <name>'", 2, 1)),
+    ("problem again", False, ("duplicate 'problem' line", 2, 1)),
+    ("problem again", True, ("duplicate 'problem' line", 18, 1)),
+    ("operator", False, ("expected 'operator <name>'", 2, 1)),
+    ("operator", True, ("operator block not closed with 'end'", 18, 1)),
+    ("operator inner", True, ("operator block not closed with 'end'", 18, 1)),
+    ("end", False, ("'end' outside an operator block", 2, 1)),
+    ("init: a", True, ("'init' section inside an operator block", 18, 1)),
+    ("pre: a", False, ("'pre' section outside an operator block", 2, 1)),
+    ("cadd: (a -> b)", False, ("'cadd' section outside an operator block", 2, 1)),
+    ("  cadd: a", True, ("expected '('", 18, 10)),
+    ("  cadd: (a -> b", True, ("unterminated conditional effect", 18, 10)),
+    ("  cadd: (a -> b) (c -> d", True, ("unterminated conditional effect", 18, 19)),
+    ("  cadd: (a b)", True, ("expected '->' in conditional effect", 18, 10)),
+    ("  cdel: ( -> b)", True, ("malformed conditional effect", 18, 10)),
+    (
+        "  del: zz",
+        True,
+        (
+            "operator 'relay' deletes ['zz'] which are not preconditions; "
+            "every deleted condition must be a precondition",
+            19,
+            1,
+        ),
+    ),
+    ("goal: Bad", False, ("invalid proposition 'Bad' (expected [a-z][a-z0-9_]*)", 2, 6)),
+    ("what is this", False, ("unrecognized line 'what is this'", 2, 1)),
+    ("end x", True, ("unrecognized line 'end x'", 18, 1)),
+    ("colour: red", False, ("unknown section 'colour'", 2, 1)),
+    ("  post: a", True, ("unknown section 'post'", 18, 1)),
+    ("goals: a", False, ("unknown section 'goals'", 2, 1)),
+    ("Init: a", False, ("unknown section 'Init'", 2, 1)),
+    # A keyword with a suffix is not the keyword.
+    ("problemx: demo", False, ("unknown section 'problemx'", 2, 1)),
+    ("operators: mv", False, ("unknown section 'operators'", 2, 1)),
+    ("operator: mv", False, ("unknown section 'operator'", 2, 1)),
+)
+
+# (id, text, (message, line, col)) for whole files.
+BROKEN_FILES = (
+    ("unclosed-operator", FIG9.rsplit("end", 1)[0], ("operator block not closed with 'end'", 17, 1)),
+    ("empty", "", ("missing 'problem <name>' line", 1, 1)),
+    ("no-sections", "problem fig9\n", ("missing 'init:' or 'goal:' section", 1, 1)),
+    # A `problem` line inside an operator block, and keywords with a suffix.
+    (
+        "problem-inside-an-operator",
+        "operator mv\n  problem demo\n  pre: a\n  add: b\nend\ninit: a\ngoal: b\n",
+        ("'problem' line inside an operator block", 2, 1),
+    ),
+    (
+        "prefixed-keywords",
+        "problemx: demo\ninit: a\ngoal: b\noperators: mv\n  pre: a\n  add: b\nend\n",
+        ("unknown section 'problemx'", 1, 1),
+    ),
+    (
+        "prefixed-operator",
+        "problem demo\ninit: a\ngoal: b\noperators: mv\n  pre: a\n  add: b\nend\n",
+        ("unknown section 'operators'", 4, 1),
+    ),
+)
+
+
 class TestProblemFormat:
     def test_round_trip_chain_domain(self):
         prob = d1s1_problem([1])
@@ -264,6 +335,39 @@ end
     def test_missing_sections_rejected(self):
         with pytest.raises(ParseError):
             parse_problem("problem demo\ninit: a\n")
+
+    def test_round_trip_every_suite_and_small_chain_problem(self):
+        chains = [
+            d1s1_problem(combo)
+            for size in (1, 2, 3)
+            for combo in itertools.combinations(range(1, CHAIN_SIZE + 1), size)
+        ]
+        assert len(chains) == 575
+        for prob in [problem for _, problem in standard_suite()] + chains:
+            assert parse_problem(serialize_problem(prob)) == prob
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(prob=st.one_of(problems(), conditional_problems()))
+    def test_round_trip_generated_problems(self, prob):
+        assert parse_problem(serialize_problem(prob)) == prob
+
+    @pytest.mark.parametrize(
+        "text, message, line, col",
+        [pytest.param(_fig9_with(ln, inside), *want, id=ln.strip()) for ln, inside, want in FIG9_BREAKS]
+        + [pytest.param(text, *want, id=name) for name, text, want in BROKEN_FILES],
+    )
+    def test_each_format_error_has_its_message_and_position(self, text, message, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse_problem(text)
+        assert (str(exc.value), exc.value.line, exc.value.col) == (
+            f"line {line}, col {col}: {message}",
+            line,
+            col,
+        )
+
+    def test_the_table_covers_every_line_the_contract_test_inserts(self):
+        inserted = {ln for ln, _ in BREAKING_LINES} | set(UNKNOWN_SECTIONS)
+        assert inserted <= {ln for ln, _, _ in FIG9_BREAKS}
 
     def test_lint_warns_unachievable_goal(self):
         prob = Problem("odd", frozenset(), frozenset(["g"]), (make_op("n", adds=["x"]),))
