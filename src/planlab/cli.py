@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence, Union
 
 from .domains import (
     BlocksworldSpec,
@@ -65,6 +65,14 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _depth_limit(raw: str) -> Union[str, int]:
+    """A depth limit as the flag or a config gives it: 'auto' or a
+    non-negative integer."""
+    if raw != "auto" and not (raw.isascii() and raw.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be 'auto' or a non-negative integer, not {raw!r}")
+    return raw if raw == "auto" else int(raw)
+
+
 def _load_problem(path: str) -> Problem:
     if path.startswith("fixture:"):
         return fixture(path.split(":", 1)[1])
@@ -75,8 +83,8 @@ def _load_problem(path: str) -> Problem:
     return problem
 
 
-def _resolve_depth(problem: Problem, raw: str) -> int:
-    return _auto_depth(problem, minimal_solution_length(problem)) if raw == "auto" else int(raw)
+def _resolve_depth(problem: Problem, limit: Union[str, int]) -> int:
+    return _auto_depth(problem, minimal_solution_length(problem)) if limit == "auto" else limit
 
 
 def _auto_depth(problem: Problem, length: Optional[int]) -> int:
@@ -229,7 +237,7 @@ class ExperimentConfig:
     heuristics: list[str] = field(default_factory=lambda: ["none"])
     trials: int = 25
     base_seed: int = 0
-    depth_limit: str = "auto"
+    depth_limit: Union[str, int] = "auto"
     max_iterations: int = StrategyConfig.max_iterations
     output: str = "experiment.csv"
     format: str = "csv"
@@ -237,7 +245,8 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
         """Read `key = value` lines; the keys are the fields, and each value
-        is read as its default is: a comma list, an int or text."""
+        is read as its default is: a comma list, an int or text, except the
+        depth limit, which is read as the flag is."""
         cfg = cls()
         kinds = {key: type(value) for key, value in vars(cfg).items()}
         for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -249,7 +258,12 @@ class ExperimentConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in kinds:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if kinds[key] is list:
+            if key == "depth_limit":
+                try:
+                    value = _depth_limit(value)
+                except argparse.ArgumentTypeError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key} {exc}") from None
+            elif kinds[key] is list:
                 value = [v.strip() for v in value.split(",") if v.strip()]
             elif kinds[key] is int:
                 try:
@@ -459,15 +473,24 @@ def cmd_dump_tree(args: argparse.Namespace) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as every refusal is reported: one ``error:``
+    line, here after the usage."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="planlab",
         description="plan-space planning laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--depth-limit", default="auto", help="integer or 'auto' (state-space oracle)")
+        p.add_argument("--depth-limit", type=_depth_limit, default="auto", help="integer or 'auto' (state-space oracle)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--seeded-goals", action="store_true", help="seeded goal selection instead of first-goal")
         p.add_argument("--node-ceiling", type=_positive_int, help=f"nodes one run may visit (default: {NODE_CEILING})")

@@ -19,9 +19,14 @@ by adding only its new edges: the linearization when ``extend`` builds a
 child with a new step, the others when first asked for.  A ``restrict``
 projection gets its closure from the plan it projects.  Any other plan
 computes the view afresh: its linearization by Kahn's sort
-(``topological_order``), and its closure along that linearization.  Only
-this module reads the cache or builds the closure; ``with_steps`` hands a
-plan's order views to a plan that differs from it in its steps alone.
+(``topological_order``), and its closure along that linearization, except
+a root from ``initial_plan``, whose views are preset, so no root is sorted.
+Only this module reads the cache or builds the closure; ``with_steps`` hands
+a plan's order views to a plan that differs from it in its steps alone.
+
+A ``Problem`` holds its one root plan (``root``) and its adder index
+(``adders``), each built on first use and neither a field, so equality,
+hashing, ``replace`` and serialization ignore them.
 
 Plans compare by identity, not by field value: two nodes of a search tree
 may carry structurally identical plans and must stay distinct.
@@ -280,6 +285,22 @@ class Problem:
     goals: frozenset[str]
     library: tuple[OperatorSchema, ...]
 
+    @cached_property
+    def root(self) -> Plan:
+        """The problem's one root plan, which every planner and run shares."""
+        return initial_plan(self)
+
+    @cached_property
+    def adders(self) -> dict[str, tuple[tuple[OperatorSchema, Optional[frozenset[str]]], ...]]:
+        """Each proposition's ways of adding it, in library order: the
+        schema, with None for its plain add, then with the dependency set
+        of each conditional add."""
+        out: dict[str, list] = {}
+        for op in self.library:
+            for c, deps in [(c, None) for c in op.adds] + [(ce.effect, ce.deps) for ce in op.cadds]:
+                out.setdefault(c, []).append((op, deps))
+        return {c: tuple(ways) for c, ways in out.items()}
+
     def lint(self) -> list[str]:
         """Non-fatal warnings about suspicious propositions."""
         mentioned: set[str] = set()
@@ -303,16 +324,21 @@ class Problem:
 
 
 def initial_plan(problem: Problem) -> Plan:
-    """The two-step root plan: step 0 adds the initial state, step 1 requires
-    the goals, with the single edge 0 -> 1."""
+    """A fresh two-step root plan: step 0 adds the initial state, step 1
+    requires the goals, with the single edge 0 -> 1, whose order views are
+    preset, so no root is sorted."""
     init_step = Step(label=INIT_STEP, name=INIT_NAME, adds=problem.init)
     final_step = Step(label=FINAL_STEP, name=FINAL_NAME, pre=problem.goals)
-    return Plan(
+    root = Plan(
         steps=(init_step, final_step),
         order=frozenset({(INIT_STEP, FINAL_STEP)}),
         parent=None,
         depth=0,
     )
+    root.__dict__.update(
+        linear_order=(0, 1), successors=((1,), ()), predecessors=((), (0,)), after=(0b10, 0), is_total=True
+    )
+    return root
 
 
 def extend(parent: Plan, new_step: Optional[Step], new_edges: Iterable[tuple[int, int]]) -> Plan:

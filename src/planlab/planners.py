@@ -19,7 +19,8 @@ how a child is ordered and which goals count as open:
                          draws an index, memoised on that text in a
                          1024-entry LRU, so corresponding ``ua`` and
                          ``to`` nodes share one draw)
-  3. operator selection  (library operators that add the selected goal)
+  3. operator selection  (library operators that add the selected goal,
+                         read from the problem's adder index)
   4. ordering selection  (planner specific, instrumented): one recipe
                          per child; ``to`` and ``ua`` build a child plan
                          with ``model.extend`` only when it is first
@@ -101,7 +102,6 @@ from .model import (
     Step,
     extend,
     fresh_label,
-    initial_plan,
     with_steps,
 )
 from .truth import (
@@ -275,7 +275,7 @@ class Planner:
     # -- goals ---------------------------------------------------------
 
     def root(self) -> Plan:
-        return initial_plan(self.problem)
+        return self.problem.root
 
     def goal_set(self, plan: Plan) -> tuple[GoalEntry, ...]:
         hit = self._goal_cache.get(plan)
@@ -340,16 +340,13 @@ class Planner:
     # -- operator selection --------------------------------------------
 
     def _adder_instances(self, c: str, label: int) -> list[Step]:
-        """Fresh step instances for every library way of adding c."""
-        out = []
-        for op in self.problem.library:
-            if c in op.adds:
-                out.append(Step.from_schema(op, label))
-            if self.conditional:
-                for ce in op.cadds:
-                    if ce.effect == c:
-                        out.append(specialize(Step.from_schema(op, label), ce.deps))
-        return out
+        """Fresh step instances for every library way of adding c that this
+        kind uses, read from the problem's adder index."""
+        return [
+            Step.from_schema(op, label) if deps is None else specialize(Step.from_schema(op, label), deps)
+            for op, deps in self.problem.adders.get(c, ())
+            if deps is None or self.conditional
+        ]
 
 
 class TotalOrderPlanner(Planner):

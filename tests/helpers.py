@@ -17,8 +17,10 @@ search over frozenset states, stepping with ``apply_operator``, and
 call, with no memo and no shortcut for a lone goal; ``seeded_picks``
 records the goal choices a tree enumeration makes.
 ``MemolessModalTruthPlanner`` is ``mt`` resolving threats without
-skipping a resolution state it has met, and ``extensions_by_goal`` lists
-a planner's children and costs for every open goal of a plan.
+skipping a resolution state it has met, ``extensions_by_goal`` lists
+a planner's children and costs for every open goal of a plan, and
+``adder_instances_brute`` is operator selection by a scan of the whole
+library, as it was before problems kept an adder index.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from planlab.model import (
     INIT_STEP,
     Plan,
     Problem,
+    Step,
     _check_size,
     extend,
     linear_extensions,
@@ -41,7 +44,7 @@ from planlab.model import (
 )
 from planlab import oracle
 from planlab.oracle import OracleCeilingError, apply_operator, minimal_solution_length
-from planlab.planners import ModalTruthPlanner, PlannerConfig, _plan_key, make_planner
+from planlab.planners import ModalTruthPlanner, Planner, PlannerConfig, _plan_key, make_planner, specialize
 from planlab.search import StrategyConfig, run_trials
 from planlab.trees import TreeCeilingError, enumerate_tree
 from planlab.truth import GoalEntry, ModalStatus, modal_status, modal_status_brute, precondition_entries
@@ -394,3 +397,18 @@ def is_compact_solution(plan: Plan) -> bool:
             if is_solution_plan(restrict(plan, (INIT_STEP, FINAL_STEP) + combo)):
                 return False
     return True
+
+
+def adder_instances_brute(planner: Planner, c: str, label: int) -> list[Step]:
+    """Fresh step instances for every library way of adding c, by a scan of
+    the library: each operator's plain add, then, for a conditional kind,
+    its conditional adds of c, specialized to their dependencies."""
+    out = []
+    for op in planner.problem.library:
+        if c in op.adds:
+            out.append(Step.from_schema(op, label))
+        if planner.conditional:
+            for ce in op.cadds:
+                if ce.effect == c:
+                    out.append(specialize(Step.from_schema(op, label), ce.deps))
+    return out

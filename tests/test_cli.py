@@ -305,11 +305,17 @@ class TestCeilings:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command", ["solve", "verify", "dump-tree"])
-    def test_negative_depth_limit_refused(self, sussman_file, capsys, command):
-        assert main([command, sussman_file, "--depth-limit", "-1"]) == EXIT_USAGE
+    @pytest.mark.parametrize("raw", ["-1", "-2", "au", "1.5", ""])
+    def test_bad_depth_limit_flag_refused_before_the_problem_loads(self, tmp_path, capsys, command, raw):
+        # The problem file does not exist: reading it would be refused instead.
+        missing = str(tmp_path / "missing.plan")
+        assert main([command, missing, "--depth-limit", raw]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: depth_limit must be >= 0, not -1\n"
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: argument --depth-limit: must be 'auto' or a non-negative integer, not {raw!r}"
+        ]
+        assert err.endswith("\n") and "Traceback" not in err
 
     def test_deep_verify_of_repeated_operators_is_not_refused(self, loop_file, capsys):
         # plans of up to 502 steps, each operator repeated: past the step
@@ -604,6 +610,22 @@ class TestExperiment:
         assert main(["experiment", cfg]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {cfg}:{lineno}: {key} must be an integer, not {raw!r}\n")
         assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize("raw", ["au", "-2", "1.5", "", "auto,3"])
+    def test_a_bad_depth_limit_is_refused_with_its_line_before_any_problem_loads(
+        self, tmp_path, capsys, monkeypatch, raw
+    ):
+        monkeypatch.setattr(cli, "_load_problem", lambda path: pytest.fail(f"loaded {path}"))
+        cfg = self.write_config(tmp_path, depth_limit=raw)
+        lineno = 1 + [line.split(" = ")[0] for line in Path(cfg).read_text().splitlines()].index("depth_limit")
+        assert main(["experiment", cfg]) == EXIT_USAGE
+        message = f"error: {cfg}:{lineno}: depth_limit must be 'auto' or a non-negative integer, not {raw!r}\n"
+        assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize("raw, depth", [("auto", "auto"), ("0", 0), ("3", 3)])
+    def test_a_depth_limit_is_read_as_the_flag_reads_it(self, tmp_path, raw, depth):
+        assert ExperimentConfig.load(self.write_config(tmp_path, depth_limit=raw)).depth_limit == depth
 
     def test_rows_come_in_canonical_order_whatever_the_list_order(self, tmp_path):
         def rows_for(planners, strategies):

@@ -8,7 +8,8 @@ over problem files made from valid problems by truncating them, injecting
 bytes that are not UTF-8, or inserting lines: unknown sections and lines
 that each break one rule of the problem format.  Experiment configs are
 made from small valid ones by dropping, repeating or misspelling keys,
-truncating values, giving an integer key a value that is not one, or
+truncating values, giving an integer key a value that is not one, giving
+the depth limit one that is neither ``auto`` nor a non-negative integer, or
 repeating a list entry.  The examples are derandomized, so every run checks
 the same inputs.
 """
@@ -204,7 +205,9 @@ def experiment_configs(draw) -> list[tuple[str, str]]:
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(lines) - 1))
         key, value = lines[at]
-        damage = draw(st.sampled_from(("drop", "repeat", "misspell", "truncate", "not-int", "list-repeat")))
+        damage = draw(
+            st.sampled_from(("drop", "repeat", "misspell", "truncate", "not-int", "not-depth", "list-repeat"))
+        )
         if damage == "drop" and key in CONFIG_DROPPABLE:
             del lines[at]
         elif damage == "repeat":
@@ -215,6 +218,8 @@ def experiment_configs(draw) -> list[tuple[str, str]]:
             lines[at] = (key, value[: draw(st.integers(0, max(len(value) - 1, 0)))])
         elif damage == "not-int" and key in CONFIG_INTS:
             lines[at] = (key, draw(st.sampled_from(("abc", "1.5", "2x", "", "0x10"))))
+        elif damage == "not-depth" and key == "depth_limit":
+            lines[at] = (key, draw(st.sampled_from(("au", "-2", "1.5", "", "auto,2", "AUTO"))))
         elif damage == "list-repeat" and key in CONFIG_LISTS:
             lines[at] = (key, f"{value},{value.split(',')[0]}")
     return lines

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +263,14 @@ class TestProblemFormat:
         for name in fixture_names():
             prob = fixture(name)
             assert parse_problem(serialize_problem(prob)) == prob
+
+    def test_a_problem_with_its_root_and_adder_index_built_round_trips(self):
+        for name in fixture_names():
+            prob = fixture(name)
+            prob.root, prob.adders  # build both
+            again = parse_problem(serialize_problem(prob))
+            assert again == prob and hash(again) == hash(prob)
+            assert "root" not in vars(again) and "root" not in vars(replace(prob, name=name))
 
     def test_round_trip_conditional_effects(self):
         prob = Problem(

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planlab.domains import d1s1_problem, fixture, fixture_names, standard_suite
 from planlab.model import (
@@ -19,6 +21,7 @@ from planlab.model import (
 )
 from planlab import planners
 from planlab.planners import (
+    PLANNERS,
     PlannerConfig,
     make_planner,
 )
@@ -35,6 +38,7 @@ from planlab.truth import (
 
 from conftest import chain_plan, linearization_plans
 from helpers import (
+    adder_instances_brute,
     closure_pairs,
     equivalent,
     is_unambiguous_brute,
@@ -43,6 +47,7 @@ from helpers import (
     seeded_picks,
     validate_plan,
 )
+from test_properties import conditional_problems, problems
 
 
 def named_problem(name: str) -> Problem:
@@ -59,6 +64,54 @@ def find_node(tree, middle_names, require_goals=True):
         if names == sorted(middle_names) and (n.goals or not require_goals):
             return n
     raise AssertionError(f"no node with middle steps {middle_names}")
+
+
+def check_adder_index(problem: Problem) -> None:
+    """Every kind's operator selection, for every proposition the problem
+    mentions and one it does not, is the library scan's: the same steps,
+    and so the same signatures, in the same order."""
+    props = {"unmentioned"} | problem.init | problem.goals
+    for op in problem.library:
+        props |= op.pre | op.adds | op.dels | {ce.effect for ce in op.cadds + op.cdels}
+    for kind in PLANNERS:
+        planner = make_planner(kind, problem)
+        for c in sorted(props):
+            got, want = planner._adder_instances(c, 5), adder_instances_brute(planner, c, 5)
+            assert [s.signature for s in got] == [s.signature for s in want]
+            assert got == want
+
+
+class TestProblemFacts:
+    """A problem builds its root plan and its adder index once, on first use."""
+
+    def test_every_planner_of_a_problem_shares_one_root(self):
+        for name in fixture_names():
+            problem = fixture(name)
+            roots = [make_planner(kind, problem).root() for kind in PLANNERS]
+            roots.append(make_planner("ua", problem, PlannerConfig("seeded", 3)).root())
+            assert all(root is problem.root for root in roots)
+            assert initial_plan(problem) is not problem.root
+
+    def test_the_preset_root_views_equal_a_fresh_plans(self):
+        root = fixture("fig9").root
+        fresh = Plan(steps=root.steps, order=root.order)
+        views = ("linear_order", "successors", "predecessors", "after", "is_total")
+        assert [getattr(root, view) for view in views] == [getattr(fresh, view) for view in views]
+
+    @pytest.mark.parametrize("kind", sorted(PLANNERS))
+    def test_no_tree_sorts_a_root(self, kind, kahn_sorts):
+        for name in fixture_names():
+            enumerate_tree(make_planner(kind, fixture(name)), 3)
+        assert not any(plan.depth == 0 for plan in kahn_sorts)
+
+    def test_the_adder_index_gives_the_library_scan_on_the_fixtures(self):
+        for name in fixture_names():
+            check_adder_index(fixture(name))
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(problem=st.one_of(problems(), conditional_problems()))
+    def test_the_adder_index_gives_the_library_scan_on_generated_problems(self, problem):
+        check_adder_index(problem)
 
 
 class TestTotalOrderChildren:
@@ -545,7 +598,7 @@ class TestLeafDecision:
         assert (child.predecessors[new], child.successors[new]) == ((0, 3), (1, 2))
         assert child.parent.linear_order == (0, 3, 2, 1)
         assert child.linear_order == (0, 3, 4, 2, 1)
-        assert kahn_sorts == [tree.nodes[0].plan]  # the root alone was sorted
+        assert not any(plan.depth == 0 for plan in kahn_sorts)  # the root's order is preset
         assert make_planner("ua", problem).is_solution(child) and not node.goals
 
     def test_a_child_sorts_when_a_successor_comes_first(self, kahn_sorts):
@@ -560,7 +613,7 @@ class TestLeafDecision:
             assert child.parent.linear_order == (0, 3, 2, 1)
             assert (child.predecessors[new], child.successors[new]) == ((0, 2), (1, 3))
             assert child.linear_order == (0, 2, 4, 3, 1)
-        assert len(kahn_sorts) == 3 and len(tree.nodes) > 100
+        assert kahn_sorts == fallbacks and len(tree.nodes) > 100
 
     def test_goal_set_simulates_the_carried_order(self, kahn_sorts):
         # Rating a child reads its goal set, which simulates the order it
@@ -569,10 +622,10 @@ class TestLeafDecision:
         problem = fixture("fig9")
         tree = enumerate_tree(make_planner("ua", problem), 3)
         children = [n.plan for n in tree.nodes if n.plan.parent is not None]
-        assert children and len(kahn_sorts) == 1
+        assert children and not kahn_sorts
         planner = make_planner("ua", problem)
         goals = [planner.goal_set(child) for child in children]
-        assert len(kahn_sorts) == 1
+        assert not kahn_sorts
         fresh = [Plan(steps=child.steps, order=child.order) for child in children]
         assert goals == [tuple(false_in_sequence(f, f.linear_order)) for f in fresh]
         assert any(c.linear_order != f.linear_order for c, f in zip(children, fresh))

@@ -403,15 +403,20 @@ class TestCarriedLinearizations:
             map(position, plan.successors[new])
         )
 
-    def test_ua_dfs_sorts_only_the_root_and_fallback_plans(self, kahn_sorts):
+    @pytest.mark.parametrize("kind", ["to", "ua", "mt"])
+    def test_no_suite_dfs_run_sorts_a_root(self, kind, kahn_sorts):
+        for length, problem in standard_suite():
+            planner = make_planner(kind, problem, PlannerConfig("seeded", 0))
+            run_search(planner, StrategyConfig(strategy="dfs", depth_limit=length, seed=0))
+        assert not any(plan.depth == 0 for plan in kahn_sorts)
+
+    def test_ua_dfs_sorts_only_fallback_plans(self, kahn_sorts):
         length, problem = suite_problems()["blocks4_seed391"]
         planner = make_planner("ua", problem, PlannerConfig("seeded", 1))
         out = run_search(planner, StrategyConfig(strategy="dfs", depth_limit=length, seed=1))
         sorted_plans = list(kahn_sorts)
-        roots = [plan for plan in sorted_plans if plan.parent is None]
-        assert len(roots) == 1
-        fallbacks = [plan for plan in sorted_plans if plan.parent is not None]
-        assert fallbacks and all(self.falls_back(plan) for plan in fallbacks)
+        assert not any(plan.depth == 0 for plan in sorted_plans)
+        assert sorted_plans and all(self.falls_back(plan) for plan in sorted_plans)
         assert len(sorted_plans) < out.nodes_expanded / 100
 
 
