@@ -275,6 +275,12 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        """Refuse a config that cannot run, before any problem loads; the
+        depth limit is read as the flag reads it."""
+        try:
+            self.depth_limit = _depth_limit(str(self.depth_limit))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"depth_limit {exc}") from None
         for key, entries in vars(self).items():
             if isinstance(entries, list) and not entries:
                 raise ValueError(f"{key} must list at least one entry")
@@ -323,11 +329,12 @@ def _experiment_problems(cfg: ExperimentConfig) -> dict[str, tuple[str, Optional
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """All result rows plus the per-cell summary table, in canonical order."""
+    cfg.validate()
     rows: list[dict] = []
     problems = _experiment_problems(cfg)
     for problem_id in sorted(problems):
         _, length, problem = problems[problem_id]
-        depth = _auto_depth(problem, length) if cfg.depth_limit == "auto" else int(cfg.depth_limit)
+        depth = _auto_depth(problem, length) if cfg.depth_limit == "auto" else cfg.depth_limit
         for planner_kind in sorted(cfg.planners):
             for strategy in sorted(cfg.strategies):
                 for heuristic in sorted(cfg.heuristics):

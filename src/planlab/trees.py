@@ -22,7 +22,6 @@ the map would otherwise surface.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -289,55 +288,6 @@ def sibling_overlap_violations(
                     to_ids.extend(to_index.get(key, ()))
                 out.append(OverlapViolation(a, b, names, tuple(sorted(to_ids))))
     return out
-
-
-# -- statistics ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Clustering:
-    mean_gap: Optional[float]
-    gap_variance: Optional[float]
-    max_run_length: int
-
-
-@dataclass(frozen=True)
-class TreeStats:
-    node_count: int
-    leaf_count: int
-    solution_leaf_count: int
-    solution_density: float
-    per_level: tuple[int, ...]
-    clustering: Clustering
-
-
-def tree_stats(tree: SearchTree) -> TreeStats:
-    """Counts, solution density over the leaves, and gap and run-length
-    descriptions of the left-to-right solution layout."""
-    per_level = [0] * (1 + max((n.depth for n in tree.nodes), default=-1))
-    for n in tree.nodes:
-        per_level[n.depth] += 1
-    leaves = [n for n in tree.nodes if not n.children_ids]
-    flags = [n.is_solution for n in leaves]  # ids ascend: preorder = left-to-right
-    solution_count = sum(flags)
-    density = solution_count / len(leaves) if leaves else 0.0
-
-    positions = [i for i, f in enumerate(flags) if f]
-    gaps = [b - a for a, b in zip(positions, positions[1:])]
-    mean_gap = statistics.fmean(gaps) if gaps else None
-    gap_variance = statistics.pvariance(gaps) if gaps else None
-    max_run = run = 0
-    for f in flags:
-        run = run + 1 if f else 0
-        max_run = max(max_run, run)
-    return TreeStats(
-        node_count=len(tree),
-        leaf_count=len(leaves),
-        solution_leaf_count=solution_count,
-        solution_density=density,
-        per_level=tuple(per_level),
-        clustering=Clustering(mean_gap, gap_variance, max_run),
-    )
 
 
 # -- JSON dumps ----------------------------------------------------------

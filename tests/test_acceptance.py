@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The heavyweight
 enumerations (tree pool, search matrices) are computed once per session
-and shared across criteria.
+and shared across criteria.  The search matrices are the rows
+``planlab experiment`` writes (``cli.run_experiment``) over the standard
+suite, grouped by length class, planner and heuristic.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from planlab.cli import ExperimentConfig, run_experiment
 from planlab.domains import d1s1_problem, fixture, standard_suite
 from planlab.model import (
     FINAL_STEP,
@@ -22,18 +25,12 @@ from planlab.model import (
     Step,
 )
 from planlab.oracle import minimal_solution_length
-from planlab.planners import PlannerConfig, make_planner
-from planlab.search import (
-    StrategyConfig,
-    bfs,
-    dfs,
-    iterative_sampling,
-)
+from planlab.planners import make_planner
+from planlab.search import StrategyConfig, bfs
 from planlab.trees import (
     build_correspondence,
     enumerate_tree,
     sibling_overlap_violations,
-    tree_stats,
     verify_disjointness,
     verify_partition,
     verify_totality,
@@ -215,16 +212,12 @@ def pool() -> Pool:
 class Cell:
     nodes: list[int] = field(default_factory=list)
     leaves: list[int] = field(default_factory=list)
-    iterations: list[int] = field(default_factory=list)
 
     def mean_nodes(self) -> float:
         return statistics.fmean(self.nodes)
 
     def mean_leaves(self) -> float:
         return statistics.fmean(self.leaves)
-
-    def mean_iterations(self) -> float:
-        return statistics.fmean(self.iterations)
 
 
 @pytest.fixture(scope="module")
@@ -235,52 +228,42 @@ def suite():
     ]
 
 
+def _experiment_cells(strategy: str, heuristics: list[str], key) -> dict[tuple, Cell]:
+    """``planlab experiment`` rows over suite x to/ua x heuristics x trials,
+    grouped into cells by ``key(row)``; every run must solve."""
+    rows, _ = run_experiment(
+        ExperimentConfig(
+            problems=["suite:standard"],
+            planners=["to", "ua"],
+            strategies=[strategy],
+            heuristics=heuristics,
+            trials=SUITE_TRIALS,
+            base_seed=BASE_SEED,
+        )
+    )
+    cells: dict[tuple, Cell] = {}
+    for row in rows:
+        assert row["solved"], row
+        cell = cells.setdefault(key(row), Cell())
+        cell.nodes.append(row["nodes_expanded"])
+        cell.leaves.append(row["leaves_visited"])
+    return cells
+
+
 @pytest.fixture(scope="module")
-def dfs_matrix(suite):
+def dfs_matrix():
     """(length_class, planner, heuristic) -> Cell over suite x trials."""
-    cells: dict[tuple, Cell] = {}
-    for length, problem, depth in suite:
-        for kind in ("to", "ua"):
-            for heuristic in ("none", "min_goals_rank"):
-                cell = cells.setdefault((length, kind, heuristic), Cell())
-                for trial in range(SUITE_TRIALS):
-                    seed = BASE_SEED + trial
-                    planner = make_planner(
-                        kind, problem, PlannerConfig("seeded", seed)
-                    )
-                    out = dfs(
-                        planner,
-                        StrategyConfig(
-                            strategy="dfs",
-                            depth_limit=depth,
-                            heuristic=heuristic,
-                            seed=seed,
-                        ),
-                    )
-                    assert out.solved, (problem.name, kind, heuristic, seed)
-                    cell.nodes.append(out.nodes_expanded)
-                    cell.leaves.append(out.leaves_visited)
-    return cells
+    return _experiment_cells(
+        "dfs",
+        ["none", "min_goals_rank"],
+        lambda row: (row["length_class"], row["planner"], row["heuristic"]),
+    )
 
 
 @pytest.fixture(scope="module")
-def isamp_matrix(suite):
-    cells: dict[tuple, Cell] = {}
-    for length, problem, depth in suite:
-        for kind in ("to", "ua"):
-            cell = cells.setdefault((length, kind), Cell())
-            for trial in range(SUITE_TRIALS):
-                seed = BASE_SEED + trial
-                planner = make_planner(kind, problem, PlannerConfig("seeded", seed))
-                out = iterative_sampling(
-                    planner,
-                    StrategyConfig(strategy="isamp", depth_limit=depth, seed=seed),
-                )
-                assert out.solved, (problem.name, kind, seed)
-                cell.nodes.append(out.nodes_expanded)
-                cell.leaves.append(out.leaves_visited)
-                cell.iterations.append(out.iterations)
-    return cells
+def isamp_matrix():
+    """(length_class, planner) -> Cell over suite x trials."""
+    return _experiment_cells("isamp", ["none"], lambda row: (row["length_class"], row["planner"]))
 
 
 # ---------------------------------------------------------------------------
@@ -634,10 +617,11 @@ def test_c11_chain_domain():
             unique_totally_ordered = False
         stats_pair = {}
         for name, tree in (("ua", ua_tree), ("to", to_tree)):
-            st = tree_stats(tree)
-            densities[name][0] += st.solution_leaf_count
-            densities[name][1] += st.leaf_count
-            stats_pair[name] = st.solution_density
+            leaves = [n for n in tree.nodes if not n.children_ids]
+            solutions = sum(n.is_solution for n in leaves)
+            densities[name][0] += solutions
+            densities[name][1] += len(leaves)
+            stats_pair[name] = solutions / len(leaves)
         if stats_pair["ua"] < stats_pair["to"]:
             per_problem_ok = False
     pooled_ua = densities["ua"][0] / densities["ua"][1]

@@ -623,6 +623,23 @@ class TestExperiment:
         assert capsys.readouterr() == ("", message)
         assert not (tmp_path / "rows.csv").exists()
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"depth_limit": "au"}, "depth_limit must be 'auto' or a non-negative integer, not 'au'"),
+            ({"depth_limit": -2}, "depth_limit must be 'auto' or a non-negative integer, not '-2'"),
+            ({"strategies": ["bfs"], "heuristics": ["min_goals_rank"]}, "strategy 'bfs' ignores heuristic 'min_goals_rank'"),
+            ({"planners": []}, "planners must list at least one entry"),
+        ],
+        ids=["text-depth", "negative-depth", "unpaired-heuristic", "no-planners"],
+    )
+    def test_a_config_built_in_code_is_validated_before_any_problem_loads(self, monkeypatch, fields, message):
+        monkeypatch.setattr(cli, "_load_problem", lambda path: pytest.fail(f"loaded {path}"))
+        cfg = ExperimentConfig(problems=["fixture:fig9"], trials=1, **fields)
+        with pytest.raises(ValueError) as exc:
+            run_experiment(cfg)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("raw, depth", [("auto", "auto"), ("0", 0), ("3", 3)])
     def test_a_depth_limit_is_read_as_the_flag_reads_it(self, tmp_path, raw, depth):
         assert ExperimentConfig.load(self.write_config(tmp_path, depth_limit=raw)).depth_limit == depth

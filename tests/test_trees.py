@@ -5,18 +5,15 @@ import json
 import pytest
 
 from planlab.domains import BlocksworldSpec, blocksworld_problem, d1s1_problem, fixture
-from planlab.model import Problem, initial_plan, linear_extensions
+from planlab.model import Problem, linear_extensions
 from planlab.oracle import minimal_solution_length
 from planlab.planners import make_planner
 from planlab.trees import (
-    SearchNode,
-    SearchTree,
     TreeCeilingError,
     build_correspondence,
     enumerate_tree,
     map_to_json,
     sibling_overlap_violations,
-    tree_stats,
     tree_to_json,
     verify_disjointness,
     verify_partition,
@@ -75,6 +72,11 @@ class TestEnumerateTree:
         assert sols and all(not n.goals for n in sols)
         for n in dead:
             assert n.goals and not n.children_ids
+
+    def test_per_level_counts(self):
+        tree = enumerate_tree(make_planner("to", d1s1_problem([1, 2])), 2)
+        depths = [n.depth for n in tree.nodes]
+        assert tuple(depths.count(d) for d in range(3)) == (1, 1, 2)
 
 
 class TestCorrespondence:
@@ -186,68 +188,6 @@ class TestCorrespondence:
         prob = d1s1_problem([1, 2, 3])
         ua_tree = enumerate_tree(make_planner("ua", prob), 3)
         assert sibling_overlap_violations(ua_tree) == []
-
-
-def synthetic_tree(flags: list[bool]) -> SearchTree:
-    """A root with len(flags) leaf children, solution-flagged per `flags`."""
-    prob = Problem("synthetic", frozenset(), frozenset(), ())
-    plan = initial_plan(prob)
-    nodes = [
-        SearchNode(
-            id=0,
-            parent_id=None,
-            plan=plan,
-            depth=0,
-            goals=(),
-            is_solution=False,
-            is_dead_end=False,
-            cost=None,
-            children_ids=tuple(range(1, len(flags) + 1)),
-        )
-    ]
-    for i, flag in enumerate(flags, start=1):
-        nodes.append(
-            SearchNode(
-                id=i,
-                parent_id=0,
-                plan=plan,
-                depth=1,
-                goals=(),
-                is_solution=flag,
-                is_dead_end=False,
-                cost=None,
-            )
-        )
-    return SearchTree(problem=prob, planner_kind="to", depth_limit=1, nodes=nodes)
-
-
-class TestTreeStats:
-    def test_uniform_spacing(self):
-        flags = [(i % 4 == 0) for i in range(16)]  # 4 of 16, evenly spaced
-        stats = tree_stats(synthetic_tree(flags))
-        assert stats.solution_density == 0.25
-        assert stats.clustering.max_run_length == 1
-        assert stats.clustering.mean_gap == 4.0
-        assert stats.clustering.gap_variance == 0.0
-
-    def test_contiguous_solutions(self):
-        flags = [True] * 4 + [False] * 12
-        stats = tree_stats(synthetic_tree(flags))
-        assert stats.solution_density == 0.25
-        assert stats.clustering.max_run_length == 4
-
-    def test_no_solutions(self):
-        stats = tree_stats(synthetic_tree([False] * 8))
-        assert stats.solution_density == 0.0
-        assert stats.solution_leaf_count == 0
-        assert stats.clustering.mean_gap is None
-
-    def test_per_level_counts(self):
-        prob = d1s1_problem([1, 2])
-        tree = enumerate_tree(make_planner("to", prob), 2)
-        stats = tree_stats(tree)
-        assert stats.per_level == (1, 1, 2)
-        assert stats.node_count == len(tree)
 
 
 class TestJson:
