@@ -22,7 +22,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence, Union
 
@@ -128,22 +128,21 @@ def _describe_plan(plan: Plan) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    problem = _load_problem(args.problem)
-    depth = _resolve_depth(problem, args.depth_limit)
-    cfg = StrategyConfig(
+    cfg = StrategyConfig(  # refuses a bad setting before the problem loads
         strategy=args.strategy,
-        depth_limit=depth,
         heuristic=args.heuristic,
         seed=args.seed,
         trials=args.trials,
         max_iterations=args.max_iterations,
         node_ceiling=args.node_ceiling,
     )
+    problem = _load_problem(args.problem)
+    cfg = replace(cfg, depth_limit=_resolve_depth(problem, args.depth_limit))
     outcomes = run_trials(
         lambda seed: make_planner(args.planner, problem, _planner_config(args, seed)), cfg
     )
     print(f"problem: {problem.name}")
-    print(f"planner: {args.planner}  strategy: {args.strategy}  depth limit: {depth}")
+    print(f"planner: {args.planner}  strategy: {args.strategy}  depth limit: {cfg.depth_limit}")
     for outcome in outcomes:
         if args.trials > 1:
             print(
@@ -435,25 +434,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.suite:
-        for length, problem in standard_suite():
-            sub = outdir / f"length_{length}"
-            sub.mkdir(exist_ok=True)
-            (sub / f"{problem.name}.plan").write_text(
-                serialize_problem(problem), encoding="utf-8"
-            )
-        print(f"wrote standard suite under {outdir}")
-        return EXIT_OK
-    if args.fixture:
-        problem = fixture(args.fixture)
+        files = [(outdir / f"length_{length}", problem) for length, problem in standard_suite()]
+    elif args.fixture:
+        files = [(outdir, fixture(args.fixture))]
     else:
-        problem = blocksworld_problem(
-            BlocksworldSpec(n_blocks=args.blocks, seed=args.seed)
-        )
-    path = outdir / f"{problem.name}.plan"
-    path.write_text(serialize_problem(problem), encoding="utf-8")
-    print(f"wrote {path}")
+        files = [(outdir, blocksworld_problem(BlocksworldSpec(n_blocks=args.blocks, seed=args.seed)))]
+    # every problem is built, and a bad one refused, before any directory is made
+    for folder, problem in files:
+        folder.mkdir(parents=True, exist_ok=True)
+        path = folder / f"{problem.name}.plan"
+        path.write_text(serialize_problem(problem), encoding="utf-8")
+    print(f"wrote standard suite under {outdir}" if args.suite else f"wrote {path}")
     return EXIT_OK
 
 

@@ -24,9 +24,11 @@ a root from ``initial_plan``, whose views are preset, so no root is sorted.
 Only this module reads the cache or builds the closure; ``with_steps`` hands
 a plan's order views to a plan that differs from it in its steps alone.
 
-A ``Problem`` holds its one root plan (``root``) and its adder index
-(``adders``), each built on first use and neither a field, so equality,
-hashing, ``replace`` and serialization ignore them.
+``compile_library`` compiles each operator library once, for operator
+selection, ``Problem.lint`` and the state-space oracle.  A ``Problem``
+holds its one root plan (``root``) and its compiled library (``compiled``,
+whose adder index is ``adders``), each looked up on first use and neither
+a field, so equality, hashing, ``replace`` and serialization ignore them.
 
 Plans compare by identity, not by field value: two nodes of a search tree
 may carry structurally identical plans and must stay distinct.
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Optional
 
 Proposition = str
@@ -291,28 +293,17 @@ class Problem:
         return initial_plan(self)
 
     @cached_property
+    def compiled(self) -> CompiledLibrary:
+        """The library compiled, shared by every problem with an equal one."""
+        return compile_library(self.library)
+
+    @cached_property
     def adders(self) -> dict[str, tuple[tuple[OperatorSchema, Optional[frozenset[str]]], ...]]:
-        """Each proposition's ways of adding it, in library order: the
-        schema, with None for its plain add, then with the dependency set
-        of each conditional add."""
-        out: dict[str, list] = {}
-        for op in self.library:
-            for c, deps in [(c, None) for c in op.adds] + [(ce.effect, ce.deps) for ce in op.cadds]:
-                out.setdefault(c, []).append((op, deps))
-        return {c: tuple(ways) for c, ways in out.items()}
+        return self.compiled.adders
 
     def lint(self) -> list[str]:
         """Non-fatal warnings about suspicious propositions."""
-        mentioned: set[str] = set()
-        added: set[str] = set()
-        for op in self.library:
-            mentioned |= op.pre | op.adds | op.dels
-            added |= op.adds
-            for ce in op.cadds:
-                mentioned |= ce.deps | {ce.effect}
-                added.add(ce.effect)
-            for ce in op.cdels:
-                mentioned |= ce.deps | {ce.effect}
+        added, mentioned = self.compiled.adders, self.compiled.bits
         warnings = []
         for g in sorted(self.goals):
             if g not in self.init and g not in added:
@@ -321,6 +312,43 @@ class Problem:
             if p not in mentioned and p not in self.goals:
                 warnings.append(f"initial proposition {p!r} is never referenced")
         return warnings
+
+
+class CompiledLibrary:
+    """``adders`` maps each proposition to its ways of adding it in library
+    order: the schema with None for its plain add, then with each
+    conditional add's dependencies.  ``bits`` gives each proposition the
+    library mentions one bit, and ``masks`` each operator's ``(pre, adds,
+    dels, cadds, cdels)``, a conditional effect as (dependencies, effect)."""
+
+    def __init__(self, library: tuple[OperatorSchema, ...]):
+        adders: dict[str, list] = {}
+        for op in library:
+            for c, deps in [(c, None) for c in op.adds] + [(ce.effect, ce.deps) for ce in op.cadds]:
+                adders.setdefault(c, []).append((op, deps))
+        self.adders = {c: tuple(ways) for c, ways in adders.items()}
+        self.bits: dict[str, int] = {}
+        mask = partial(bitmask, self.bits)
+
+        def conditional(effects: tuple[CondEffect, ...]) -> tuple[tuple[int, int], ...]:
+            return tuple((mask(ce.deps), mask((ce.effect,))) for ce in effects)
+
+        self.masks = tuple(
+            (mask(op.pre), mask(op.adds), mask(op.dels), conditional(op.cadds), conditional(op.cdels))
+            for op in library
+        )
+
+
+# hashing a library costs microseconds: each problem and search looks it up once
+compile_library = lru_cache(maxsize=16)(CompiledLibrary)
+
+
+def bitmask(bits: dict[str, int], props: Iterable[str]) -> int:
+    """The mask of `props`, each one `bits` lacks given the next free bit."""
+    m = 0
+    for p in props:
+        m |= bits.setdefault(p, 1 << len(bits))
+    return m
 
 
 def initial_plan(problem: Problem) -> Plan:

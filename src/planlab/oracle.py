@@ -2,11 +2,12 @@
 
 A forward breadth-first search over world states, used to establish
 minimal solution lengths without touching any plan-space machinery.
-The search gives each of the problem's propositions one bit and holds a
-state as an int; an operator applies when its precondition bits are all
-set, and conditional effects fire exactly when their dependencies hold in
-the state being transformed.  ``apply_operator`` is the same step on
-frozensets of propositions, for callers that execute a plan's steps.
+The search gives each proposition one bit, reading the library's bits and
+operator masks as ``model`` compiles them (never its adder index), and
+holds a state as an int; an operator applies when its precondition bits
+are all set, and conditional effects fire exactly when their dependencies
+hold in the state being transformed.  ``apply_operator`` is the same step
+on frozensets of propositions, for callers that execute a plan's steps.
 
 Problems that share an initial state and a library share one search, a
 *reach*: the states met so far with their depths, in the order the search
@@ -17,9 +18,9 @@ needs more.  The last reach lives on between calls, holding at most
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .model import CondEffect, OperatorSchema, Problem
+from .model import OperatorSchema, Problem, bitmask, compile_library
 
 STATE_CEILING = 200_000
 
@@ -40,41 +41,20 @@ def apply_operator(state: frozenset[str], op: OperatorSchema) -> frozenset[str]:
     return frozenset((state - dels) | adds)
 
 
-def _conditional(mask, effects: tuple[CondEffect, ...]) -> tuple[tuple[int, int], ...]:
-    # most operators have no conditional effects; skip building a generator
-    if not effects:
-        return ()
-    return tuple((mask(ce.deps), mask((ce.effect,))) for ce in effects)
-
-
 class _Reach:
     """The states reachable from `init` under `library`, as (state, depth)
     pairs in the order the breadth-first search first meets them;
     advancing `grow` appends the next one."""
 
     def __init__(self, init: frozenset[str], library: tuple[OperatorSchema, ...]):
-        self.init, self.library, self.bits = init, library, {}
-        self.met = [(self.mask(init), 0)]
-        ops = [
-            (
-                self.mask(op.pre),
-                self.mask(op.adds),
-                self.mask(op.dels),
-                _conditional(self.mask, op.cadds),
-                _conditional(self.mask, op.cdels),
-            )
-            for op in library
-        ]
-        self.grow = _search(self.met, ops)  # holds no reference to self: no cycle keeps a reach alive
-
-    def mask(self, props: Iterable[str]) -> int:
-        m = 0
-        for p in props:
-            m |= self.bits.setdefault(p, 1 << len(self.bits))
-        return m
+        compiled = compile_library(library)
+        # a copy: bits for propositions only init or goals name stay out of the shared one
+        self.init, self.library, self.bits = init, library, dict(compiled.bits)
+        self.met = [(bitmask(self.bits, init), 0)]
+        self.grow = _search(self.met, compiled.masks)  # holds no reference to self: no cycle keeps a reach alive
 
 
-def _search(met: list[tuple[int, int]], ops: list) -> Iterator[None]:
+def _search(met: list[tuple[int, int]], ops: tuple) -> Iterator[None]:
     seen = {met[0][0]}
     for state, depth in met:  # the queue: pairs appended below are met in turn
         absent = ~state
@@ -110,7 +90,7 @@ def minimal_solution_length(problem: Problem) -> Optional[int]:
     # a tuple compares its items by identity first, then by ==
     if reach is None or (reach.init, reach.library) != (problem.init, problem.library):
         reach = _last = _Reach(problem.init, problem.library)
-    goals, met, limit = reach.mask(problem.goals), reach.met, max(STATE_CEILING, 1)
+    goals, met, limit = bitmask(reach.bits, problem.goals), reach.met, max(STATE_CEILING, 1)
     for i, (state, depth) in enumerate(met):  # sees each pair `grow` appends
         if goals & ~state == 0:
             return depth

@@ -20,7 +20,9 @@ records the goal choices a tree enumeration makes.
 skipping a resolution state it has met, ``extensions_by_goal`` lists
 a planner's children and costs for every open goal of a plan, and
 ``adder_instances_brute`` is operator selection by a scan of the whole
-library, as it was before problems kept an adder index.
+library, as it was before problems kept an adder index, and ``lint_brute``
+is ``Problem.lint`` by such a scan, as it was before libraries were
+compiled.
 """
 
 from __future__ import annotations
@@ -412,3 +414,26 @@ def adder_instances_brute(planner: Planner, c: str, label: int) -> list[Step]:
                 if ce.effect == c:
                     out.append(specialize(Step.from_schema(op, label), ce.deps))
     return out
+
+
+def lint_brute(problem: Problem) -> list[str]:
+    """``Problem.lint``'s warnings, from a scan of the library for the
+    propositions it mentions and those it adds."""
+    mentioned: set[str] = set()
+    added: set[str] = set()
+    for op in problem.library:
+        mentioned |= op.pre | op.adds | op.dels
+        added |= op.adds
+        for ce in op.cadds:
+            mentioned |= ce.deps | {ce.effect}
+            added.add(ce.effect)
+        for ce in op.cdels:
+            mentioned |= ce.deps | {ce.effect}
+    warnings = []
+    for g in sorted(problem.goals):
+        if g not in problem.init and g not in added:
+            warnings.append(f"goal {g!r} is not initially true and no operator adds it")
+    for p in sorted(problem.init):
+        if p not in mentioned and p not in problem.goals:
+            warnings.append(f"initial proposition {p!r} is never referenced")
+    return warnings

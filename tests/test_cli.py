@@ -107,6 +107,20 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: strategy 'bfs' ignores heuristic 'min_goals_rank'\n")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "0"], "trials must be >= 1, not 0"),
+            (["--strategy", "isamp", "--max-iterations", "0"], "max_iterations must be >= 1, not 0"),
+            (["--strategy", "bfs", "--heuristic", "min_goals_rank"], "strategy 'bfs' ignores heuristic 'min_goals_rank'"),
+        ],
+        ids=["trials", "max-iterations", "unpaired-heuristic"],
+    )
+    def test_a_bad_setting_is_refused_before_the_problem_loads(self, monkeypatch, capsys, flags, message):
+        monkeypatch.setattr(cli, "_load_problem", lambda path: pytest.fail(f"loaded {path}"))
+        assert main(["solve", "/nonexistent/x.plan", *flags]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_fixture_path(self, capsys):
         code = main(["solve", "fixture:fig9", "--planner", "ua", "--strategy", "bfs"])
         assert code == EXIT_OK
@@ -683,6 +697,13 @@ class TestGenAndDump:
         assert class_dirs == ["length_1", "length_2", "length_3", "length_4"]
         total = sum(len(list(d.glob("*.plan"))) for d in tmp_path.iterdir())
         assert total == 44
+
+    @pytest.mark.parametrize("blocks", ["1", "99"])
+    def test_gen_refuses_a_bad_block_count_before_making_the_directory(self, tmp_path, capsys, blocks):
+        outdir = tmp_path / "out" / "nested"
+        assert main(["gen", str(outdir), "--blocks", blocks]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: n_blocks must be in [2, 8]\n"
+        assert not (tmp_path / "out").exists()
 
     def test_gen_fixture_round_trips(self, tmp_path):
         main(["gen", str(tmp_path), "--fixture", "fig17"])

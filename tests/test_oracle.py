@@ -15,14 +15,18 @@ is another object), change the ceiling up and down on one reach, down to
 0, query a goal nothing mentions on a populated reach, and check that a
 query on a fresh reach meets no state the frozenset search would not and
 that a search cut short by an exception is not resumed; every answer and
-refusal is the frozenset search's.
+refusal is the frozenset search's.  Importing the oracle loads no
+``planlab`` module but ``model``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +253,13 @@ def test_a_search_cut_short_is_not_resumed(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         minimal_solution_length(deeper)
     assert minimal_solution_length(deeper) == minimal_solution_length_brute(deeper)
+
+
+def test_the_oracle_imports_only_the_model_from_planlab():
+    # The oracle stays independent of the plan-space machinery: importing it
+    # in a fresh interpreter loads no planners, truth, search or trees.
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    code = "import sys, planlab.oracle; print(sorted(m for m in sys.modules if m.startswith('planlab')))"
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(["planlab", "planlab.model", "planlab.oracle"])

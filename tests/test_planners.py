@@ -82,7 +82,8 @@ def check_adder_index(problem: Problem) -> None:
 
 
 class TestProblemFacts:
-    """A problem builds its root plan and its adder index once, on first use."""
+    """A problem builds its root plan, and looks up its compiled library
+    with its adder index, once, on first use."""
 
     def test_every_planner_of_a_problem_shares_one_root(self):
         for name in fixture_names():
